@@ -87,7 +87,7 @@ def init_hcam_params(rng, d_model: int, dtype=np.float64) -> HcamParams:
         ln_gain=Tensor(np.ones(d_model, dtype=dtype)),
         ln_bias=Tensor(np.zeros(d_model, dtype=dtype)),
         w_rel=Tensor(scaled_uniform(rng, d_model, d_model, dtype=dtype)),
-        mha=init_attention_params(rng, d_model),
+        mha=init_attention_params(rng, d_model, dtype=dtype),
     )
 
 
@@ -108,6 +108,56 @@ def _merge_heads(tape: GradTape, x: Tensor) -> Tensor:
     perm = tuple(range(nlead)) + (nlead + 1, nlead, nlead + 2)
     y = tape.transpose(x, perm)
     return tape.reshape(y, (*lead, q, h * dh))
+
+
+def _attend(
+    tape: GradTape,
+    qh: Tensor,
+    kh: Tensor,
+    vh: Tensor,
+    mask: np.ndarray | None = None,
+    key_pos: tuple[Tensor, np.ndarray] | None = None,
+    topk: int | None = None,
+    counter: ScoreCounter | None = None,
+) -> Tensor:
+    """Softmax attention on split heads.
+
+    qh (..., h, q, dh) against kh/vh (..., h, s, dh); leading dims
+    broadcast. key_pos = (ph, codes) adds the score bias qh . ph[codes],
+    where ph (h, n_pos, dh) is the position table projected through the key
+    weights and codes[..., q, s] picks a row per query-key pair. The
+    counter gets one count per (query, key) pair scored, over all dims left
+    of the head axis.
+    """
+    scale = 1.0 / np.sqrt(qh.shape[-1])
+    scores = tape.scale(tape.matmul(qh, tape.swap_last2(kh)), scale)
+    if counter is not None:
+        sh = scores.shape  # (..., h, q, s); heads share one count per pair
+        counter.add(int(np.prod(sh[:-3], dtype=np.int64)) * sh[-2] * sh[-1])
+
+    if key_pos is not None:
+        ph, codes = key_pos
+        qp = tape.scale(tape.matmul(qh, tape.swap_last2(ph)), scale)
+        idx = np.broadcast_to(codes, qp.shape[:-1] + codes.shape[-1:])
+        scores = tape.add(scores, tape.gather_last(qp, idx))
+
+    if mask is not None:
+        scores = tape.add(scores, Tensor(mask.astype(qh.dtype)))
+
+    if topk is not None:
+        sel = top_k_select(scores.data, topk)
+        keep = np.zeros(scores.shape, dtype=bool)
+        np.put_along_axis(keep, sel, True, axis=-1)
+        cut = np.where(keep, 0.0, NEG_INF).astype(scores.dtype)
+        scores = tape.add(scores, Tensor(cut))
+
+    return tape.matmul(tape.softmax(scores, axis=-1), vh)
+
+
+def _position_heads(tape: GradTape, table: np.ndarray, wk: Tensor,
+                    n_heads: int) -> Tensor:
+    """Position table rows through the key projection: (h, n_pos, dh)."""
+    return _split_heads(tape, tape.matmul(Tensor(table), wk), n_heads)
 
 
 def multi_head_attention(
@@ -136,39 +186,24 @@ def multi_head_attention(
         raise ShapeError(f"d_model {d} not divisible by n_heads {n_heads}")
     if keys_values.shape[-2] == 0:
         raise ContractError("attention over an empty key/value sequence")
-    dh = d // n_heads
 
     qh = _split_heads(tape, tape.matmul(queries, params.wq), n_heads)
     kh = _split_heads(tape, tape.matmul(keys_values, params.wk), n_heads)
     vh = _split_heads(tape, tape.matmul(keys_values, params.wv), n_heads)
-
-    scores = tape.scale(tape.matmul(qh, tape.swap_last2(kh)), 1.0 / np.sqrt(dh))
-    if counter is not None:
-        sh = scores.shape  # (..., h, q, s); heads share one count per pair
-        counter.add(int(np.prod(sh[:-3], dtype=np.int64)) * sh[-2] * sh[-1])
-
     if key_pos is not None:
         table, codes = key_pos
-        ph = _split_heads(
-            tape, tape.matmul(Tensor(table.astype(queries.dtype)), params.wk),
-            n_heads)  # (h, n_pos, dh)
-        qp = tape.scale(tape.matmul(qh, tape.swap_last2(ph)), 1.0 / np.sqrt(dh))
-        idx = np.broadcast_to(codes, qp.shape[:-1] + codes.shape[-1:])
-        scores = tape.add(scores, tape.gather_last(qp, idx))
+        key_pos = (_position_heads(tape, table, params.wk, n_heads), codes)
+    out = _attend(tape, qh, kh, vh, mask=mask, key_pos=key_pos, topk=topk,
+                  counter=counter)
+    return tape.matmul(_merge_heads(tape, out), params.wo)
 
-    if mask is not None:
-        scores = tape.add(scores, Tensor(mask.astype(queries.dtype)))
 
-    if topk is not None:
-        sel = top_k_select(scores.data, topk)
-        keep = np.zeros(scores.shape, dtype=bool)
-        np.put_along_axis(keep, sel, True, axis=-1)
-        cut = np.where(keep, 0.0, NEG_INF).astype(scores.dtype)
-        scores = tape.add(scores, Tensor(cut))
-
-    att = tape.softmax(scores, axis=-1)
-    out = _merge_heads(tape, tape.matmul(att, vh))
-    return tape.matmul(out, params.wo)
+# Blocked scoring pays for its extra tape ops only once the dense T x S
+# score matrix is several windows wide. At window 16, batch 32, d_model 64
+# (float32, one BLAS thread, 2-CPU VM) a blocked forward + backward took
+# 1.25x the dense time at T = 49 and 0.75x at T = 64, so inputs shorter
+# than this many windows of queries are scored as one dense block.
+MIN_WINDOWS_FOR_BLOCKS = 4
 
 
 def local_attention(
@@ -184,28 +219,78 @@ def local_attention(
     """Causal attention limited to a sliding window of recent positions.
 
     seq is (..., S, d) where the first n_carry rows are carried-in context
-    (attendable, but not queried); outputs cover the last S - n_carry rows.
-    Position t may attend to positions max(0, t - window + 1) .. t, and key
-    codes count from the start of that window.
+    (attendable, but not queried); outputs cover the last T = S - n_carry
+    rows. Position t may attend to positions max(0, t - window + 1) .. t,
+    and key codes count from the start of that window.
+
+    Inputs shorter than MIN_WINDOWS_FOR_BLOCKS windows are scored as one
+    dense T x S block. Longer ones are projected once, then scored in
+    blocks of `window` queries, each against the 2 * window keys any of its
+    queries can reach, so scoring costs 2 * window pairs per query instead
+    of S. The counter counts the pairs scored either way.
     """
     if window < 1:
         raise ContractError(f"window must be >= 1, got {window}")
     s_total = seq.shape[-2]
     t_len = s_total - n_carry
-    gq = np.arange(t_len) + n_carry  # global index of each query
-    g = np.arange(s_total)
+    blocked = t_len >= MIN_WINDOWS_FOR_BLOCKS * window
+    if blocked:
+        # Drop carried rows no query can reach, then pad so that query q
+        # sits at row window + q and the rows total (n_blocks + 1) * window:
+        # query block b then reaches only rows [b * window, (b + 2) * window).
+        n_blocks = -(-t_len // window)
+        k0 = max(0, n_carry - window + 1)
+        left = window - (n_carry - k0)
+        b = np.arange(n_blocks)[:, None, None] * window
+        gq = n_carry + b + np.arange(window)[:, None]  # global query index
+        g = k0 - left + b + np.arange(2 * window)  # global key; < k0 is padding
+    else:
+        gq = (np.arange(t_len) + n_carry)[:, None]
+        g = np.arange(s_total)
     start = np.maximum(0, gq - window + 1)
-    valid = (g[None, :] >= start[:, None]) & (g[None, :] <= gq[:, None])
-    mask = np.where(valid, 0.0, NEG_INF)
+    mask = np.where((g >= start) & (g <= gq), 0.0, NEG_INF)
+    codes = None if pos_table is None else np.clip(g - start, 0, window - 1)
 
-    queries = tape.slice_ax(seq, -2, n_carry, s_total) if n_carry else seq
+    if not blocked:
+        queries = tape.slice_ax(seq, -2, n_carry, s_total) if n_carry else seq
+        return multi_head_attention(
+            tape, queries, seq, params, n_heads, mask=mask,
+            key_pos=None if codes is None else (pos_table, codes),
+            counter=counter)
+
+    d = seq.shape[-1]
+    if d % n_heads != 0:
+        raise ShapeError(f"d_model {d} not divisible by n_heads {n_heads}")
+    lead = seq.shape[:-2]
+
+    def zeros(n):
+        return Tensor(np.zeros(lead + (n, d), dtype=seq.dtype))
+
+    right = n_blocks * window - t_len
+    body = tape.slice_ax(seq, -2, k0, s_total) if k0 else seq
+    padded = tape.concat([zeros(left), body] + ([zeros(right)] if right else []),
+                         axis=-2)
+
+    def key_blocks(w):  # (..., n_blocks, h, 2 * window, dh)
+        rows = tape.reshape(tape.matmul(padded, w),
+                            lead + (n_blocks + 1, window, d))
+        pairs = tape.concat([tape.slice_ax(rows, -3, 0, n_blocks),
+                             tape.slice_ax(rows, -3, 1, n_blocks + 1)], axis=-2)
+        return _split_heads(tape, pairs, n_heads)
+
+    queries = tape.slice_ax(padded, -2, window, (n_blocks + 1) * window)
+    qh = _split_heads(tape, tape.reshape(tape.matmul(queries, params.wq),
+                                         lead + (n_blocks, window, d)), n_heads)
     key_pos = None
-    if pos_table is not None:
-        codes = np.clip(g[None, :] - start[:, None], 0, window - 1)
-        key_pos = (pos_table, codes)
-    return multi_head_attention(
-        tape, queries, seq, params, n_heads,
-        mask=mask, key_pos=key_pos, counter=counter)
+    if codes is not None:  # block axis sits left of the head axis
+        key_pos = (_position_heads(tape, pos_table, params.wk, n_heads),
+                   codes[:, None])
+    out = _attend(tape, qh, key_blocks(params.wk), key_blocks(params.wv),
+                  mask=mask[:, None], key_pos=key_pos, counter=counter)
+    out = tape.reshape(_merge_heads(tape, out), lead + (n_blocks * window, d))
+    if right:
+        out = tape.slice_ax(out, -2, 0, t_len)
+    return tape.matmul(out, params.wo)
 
 
 def chunk_relevance(
@@ -245,6 +330,33 @@ def top_k_select(scores: np.ndarray, k: int) -> np.ndarray:
     return np.sort(order, axis=-1)
 
 
+def project_chunks(
+    tape: GradTape,
+    chunks: np.ndarray,
+    params: HcamParams,
+    n_heads: int,
+    pos_table: np.ndarray | None = None,
+) -> tuple[Tensor, Tensor]:
+    """Detail keys and values of stored chunks, (..., N, h, C, dh) each.
+
+    chunks (..., N, C, d) are constants (stop-gradient on memory contents);
+    pos_table rows 0..C-1 are added to each chunk's rows before projecting.
+    """
+    *lead, n, c, d = chunks.shape
+    nl = len(lead)
+    if pos_table is not None:
+        chunks = chunks + pos_table[:c]
+    flat = Tensor(chunks.reshape(tuple(lead) + (n * c, d)))
+
+    def heads(w):
+        hh = _split_heads(tape, tape.matmul(flat, w), n_heads)
+        hh = tape.reshape(hh, (*lead, n_heads, n, c, d // n_heads))
+        perm = tuple(range(nl)) + (nl + 1, nl, nl + 2, nl + 3)
+        return tape.transpose(hh, perm)
+
+    return heads(params.mha.wk), heads(params.mha.wv)
+
+
 def hcam_block(
     tape: GradTape,
     x: Tensor,
@@ -255,6 +367,7 @@ def hcam_block(
     top_k: int,
     pos_table: np.ndarray | None = None,
     counter: ScoreCounter | None = None,
+    projected: tuple[Tensor, Tensor, int] | None = None,
 ) -> Tensor:
     """Hierarchical recall: score summaries, attend inside top-k chunks.
 
@@ -264,6 +377,11 @@ def hcam_block(
     chunks' detail-attention outputs, weighted by their unrenormalized
     relevance, are summed and added to x. With no complete chunks the block
     is the identity.
+
+    projected = (keys, values, first) reuses project_chunks output for a
+    larger run of chunks, of which chunks[..., i, :, :] is entry first + i;
+    a caller recalling several times over overlapping chunks projects each
+    chunk once that way. Without it the block projects chunks itself.
     """
     if isinstance(summaries, Tensor):
         summaries = summaries.data
@@ -273,7 +391,7 @@ def hcam_block(
         return x
 
     chunks = np.asarray(chunks)
-    n, c, d = chunks.shape[-3:]
+    c, d = chunks.shape[-2:]
     dh = d // n_heads
     normed = tape.layer_norm(x, params.ln_gain, params.ln_bias)
     rel = chunk_relevance(tape, normed, Tensor(summaries), params.w_rel, counter)
@@ -282,24 +400,16 @@ def hcam_block(
     *lead, q, _ = x.shape
     nl = len(lead)
 
-    # project every chunk once, then gather per-query selections
-    detail = chunks  # constant: stop-gradient on memory contents
-    if pos_table is not None:
-        detail = detail + pos_table[:c].astype(detail.dtype)
-    flat = Tensor(detail.reshape(tuple(lead) + (n * c, d)))
-
-    def chunked_heads(w):
-        hh = _split_heads(tape, tape.matmul(flat, w), n_heads)
-        hh = tape.reshape(hh, (*lead, n_heads, n, c, dh))
-        perm = tuple(range(nl)) + (nl + 1, nl, nl + 2, nl + 3)
-        return tape.transpose(hh, perm)  # (..., N, h, C, dh)
-
-    sel_flat = sel.reshape(tuple(lead) + (q * kk,))
+    if projected is None:
+        keys, values = project_chunks(tape, chunks, params, n_heads,
+                                      pos_table)
+        first = 0
+    else:
+        keys, values, first = projected
+    sel_flat = sel.reshape(tuple(lead) + (q * kk,)) + first
     gshape = (*lead, q, kk, n_heads, c, dh)
-    kh = tape.reshape(tape.take_rows(chunked_heads(params.mha.wk), sel_flat),
-                      gshape)
-    vh = tape.reshape(tape.take_rows(chunked_heads(params.mha.wv), sel_flat),
-                      gshape)
+    kh = tape.reshape(tape.take_rows(keys, sel_flat), gshape)
+    vh = tape.reshape(tape.take_rows(values, sel_flat), gshape)
 
     qh = _split_heads(tape, tape.matmul(normed, params.mha.wq), n_heads)
     qh = tape.transpose(qh, tuple(range(nl)) + (nl + 1, nl, nl + 2))

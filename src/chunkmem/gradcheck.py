@@ -228,7 +228,8 @@ def corrupted_backward_is_caught(tol: float = TOL_DEFAULT) -> bool:
 def _composed_cases(rng):
     from types import SimpleNamespace
 
-    from .attention import (AttentionParams, HcamParams, hcam_block,
+    from .attention import (MIN_WINDOWS_FOR_BLOCKS, AttentionParams,
+                            HcamParams, hcam_block, local_attention,
                             sinusoidal_table)
     from .stack import AttnLayer, LstmLayer, ModelConfig, init_state, stack_step
 
@@ -258,6 +259,22 @@ def _composed_cases(rng):
         "w_rel": proj(), "wq": proj(), "wk": proj(), "wv": proj(),
         "wo": proj(),
     }, hcam_loss))
+
+    # long enough that local_attention scores blocks, with carried rows
+    win, carry = 3, 2
+    t_blk = MIN_WINDOWS_FOR_BLOCKS * win + 1
+    pos_w = sinusoidal_table(win, d)
+
+    def local_loss(tp, v):
+        out = local_attention(
+            tp, v["x"], win, AttentionParams(v["wq"], v["wk"], v["wv"], v["wo"]),
+            heads, pos_table=pos_w, n_carry=carry)
+        return tp.reduce_sum(tp.tanh(out))
+
+    cases.append(("local_attention_blocked", {
+        "x": r(carry + t_blk, d), "wq": proj(), "wk": proj(), "wv": proj(),
+        "wo": proj(),
+    }, local_loss))
 
     def attn_inputs(prefix=""):
         v = {prefix + "a_g": 1.0 + 0.2 * r(d), prefix + "a_b": 0.2 * r(d),

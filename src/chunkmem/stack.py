@@ -27,6 +27,7 @@ from .attention import (
     hcam_block,
     local_attention,
     multi_head_attention,
+    project_chunks,
     scaled_uniform,
     sinusoidal_table,
 )
@@ -128,8 +129,10 @@ class Model:
         self.layers: list = []
         rng = make_rng(seed)
         self._build(rng)
-        self.pos_local = sinusoidal_table(config.span, config.d_model)
-        self.pos_chunk = sinusoidal_table(config.chunk_size, config.d_model)
+        dt = config.np_dtype
+        self.pos_local = sinusoidal_table(config.span, config.d_model, dtype=dt)
+        self.pos_chunk = sinusoidal_table(config.chunk_size, config.d_model,
+                                          dtype=dt)
 
     def _reg(self, name: str, arr) -> Tensor:
         t = Tensor(arr)
@@ -442,7 +445,9 @@ def _hcam_over_sequence(tape, model: Model, mem: ChunkMemory, layer: AttnLayer,
     Chunk contents come from the raw layer inputs x. The write at each step
     happens before that step's attention, so a position whose write
     completes a chunk already attends to it. Consecutive positions seeing
-    the same chunk count share one recall call.
+    the same chunk count share one hcam_block call. Every chunk visible to
+    any of them is projected to detail keys and values once, and each call
+    selects its top-k from that projection by chunk offset.
     """
     cfg = model.config
     t_len = x.shape[-2]
@@ -475,6 +480,13 @@ def _hcam_over_sequence(tape, model: Model, mem: ChunkMemory, layer: AttnLayer,
     for f in freeze_at:
         n_vis[f:] += 1
 
+    # chunks [lo_first, n_last) cover every call's [lo, n) window
+    lo_first = max(0, int(n_vis[0]) - cfg.capacity)
+    if n_vis[-1]:
+        keys, values = project_chunks(
+            tape, all_chunks[..., lo_first:n_vis[-1], :, :], layer.hcam,
+            cfg.n_heads, model.pos_chunk)
+
     segs = []
     ts = 0
     while ts < t_len:
@@ -490,7 +502,8 @@ def _hcam_over_sequence(tape, model: Model, mem: ChunkMemory, layer: AttnLayer,
             segs.append(hcam_block(
                 tape, seg, all_summ[..., lo:n, :], all_chunks[..., lo:n, :, :],
                 layer.hcam, cfg.n_heads, cfg.top_k,
-                pos_table=model.pos_chunk, counter=counter))
+                pos_table=model.pos_chunk, counter=counter,
+                projected=(keys, values, lo - lo_first)))
         ts = te
     return segs[0] if len(segs) == 1 else tape.concat(segs, axis=-2)
 

@@ -71,6 +71,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+_FREED = object()  # marks a non-leaf gradient backward() already consumed
+
+
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -81,9 +84,12 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class Gradients:
-    """Result of backward(): maps watched/produced tensors to gradients.
+    """Result of backward(): maps watched tensors to their gradients.
 
-    Tensors the loss never reached get an exact zero of their own shape.
+    A watched leaf the loss never reached gets an exact zero of its own
+    shape. backward() frees the gradient of every intermediate tensor once
+    it has passed it on, so reading one raises ContractError; watch a
+    tensor to keep its gradient.
     """
 
     def __init__(self, tape, grads):
@@ -94,6 +100,10 @@ class Gradients:
         if t._tape is not self._tape or t._node is None:
             raise ContractError("tensor was not watched on or produced by this tape")
         g = self._grads[t._node]
+        if g is _FREED:
+            raise ContractError(
+                "gradient of an intermediate tensor was freed during backward; "
+                "watch a leaf to read its gradient")
         if g is None:
             g = np.zeros_like(t.data)
         return Tensor(g)
@@ -103,8 +113,10 @@ class GradTape:
     """Append-only op recorder; ops are methods so recording is explicit.
 
     One tape per forward pass. Constants (tensors never watched and not
-    produced by this tape) flow through ops without creating nodes, so
-    detached memory contents cost nothing at backward time.
+    produced by this tape) flow through ops without creating nodes, and
+    the binary ops and concat never compute a gradient for a constant
+    operand, so detached memory contents and additive masks cost nothing
+    at backward time.
     """
 
     def __init__(self, recording: bool = True):
@@ -134,6 +146,10 @@ class GradTape:
             )
         return t._node
 
+    def _live(self, t: Tensor) -> bool:
+        """Whether backward will want a gradient for operand t."""
+        return self.recording and self._idx(t) is not None
+
     def _emit(self, data, inputs, bwd) -> Tensor:
         out = Tensor(data)
         if not self.recording:
@@ -154,9 +170,11 @@ class GradTape:
         except ValueError:
             raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}")
         ash, bsh = a.shape, b.shape
+        need_a, need_b = self._live(a), self._live(b)
 
         def bwd(g):
-            return (_unbroadcast(g, ash), _unbroadcast(g, bsh))
+            return (_unbroadcast(g, ash) if need_a else None,
+                    _unbroadcast(g, bsh) if need_b else None)
 
         return self._emit(a.data + b.data, (a, b), bwd)
 
@@ -166,9 +184,11 @@ class GradTape:
         except ValueError:
             raise ShapeError(f"subtract: cannot broadcast {a.shape} with {b.shape}")
         ash, bsh = a.shape, b.shape
+        need_a, need_b = self._live(a), self._live(b)
 
         def bwd(g):
-            return (_unbroadcast(g, ash), _unbroadcast(-g, bsh))
+            return (_unbroadcast(g, ash) if need_a else None,
+                    _unbroadcast(-g, bsh) if need_b else None)
 
         return self._emit(a.data - b.data, (a, b), bwd)
 
@@ -179,9 +199,11 @@ class GradTape:
             raise ShapeError(f"multiply: cannot broadcast {a.shape} with {b.shape}")
         ad, bd = a.data, b.data
         ash, bsh = a.shape, b.shape
+        need_a, need_b = self._live(a), self._live(b)
 
         def bwd(g):
-            return (_unbroadcast(g * bd, ash), _unbroadcast(g * ad, bsh))
+            return (_unbroadcast(g * bd, ash) if need_a else None,
+                    _unbroadcast(g * ad, bsh) if need_b else None)
 
         return self._emit(ad * bd, (a, b), bwd)
 
@@ -200,15 +222,18 @@ class GradTape:
             raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
         ad, bd = a.data, b.data
         ash, bsh = a.shape, b.shape
+        need_a, need_b = self._live(a), self._live(b)
 
         def bwd(g):
-            da = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ash)
-            if len(bsh) == 2 and len(ash) > 2:
+            da = db = None
+            if need_a:
+                da = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ash)
+            if need_b and len(bsh) == 2 and len(ash) > 2:
                 # batched x 2-D weight: collapse the batch instead of
                 # materializing a per-batch (d, d) gradient stack
                 db = np.matmul(ad.reshape(-1, ash[-1]).T,
                                g.reshape(-1, g.shape[-1]))
-            else:
+            elif need_b:
                 db = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bsh)
             return (da, db)
 
@@ -245,9 +270,12 @@ class GradTape:
             raise ContractError("concat of an empty list")
         sizes = [p.shape[axis] for p in parts]
         splits = np.cumsum(sizes)[:-1]
+        need = [self._live(p) for p in parts]
 
         def bwd(g):
-            return tuple(np.split(g, splits, axis=axis))
+            return tuple(piece if live else None
+                         for piece, live in zip(np.split(g, splits, axis=axis),
+                                                need))
 
         return self._emit(
             np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd
@@ -274,8 +302,11 @@ class GradTape:
             raise ShapeError(f"gather_last: index {idx.shape} against {a.shape}")
         ad = a.data
         w = ad.shape[-1]
+        if idx.size and (idx.min() < 0 or idx.max() >= w):
+            raise ShapeError(f"gather_last: index out of range for {w} columns")
         nrows = ad.size // w
-        # flat bin per (row, selected column); bincount does the scatter-add
+        # flat index per (row, selected column): forward gathers with it and
+        # bincount scatter-adds with it
         lin = (np.arange(nrows, dtype=np.int64)[:, None] * w
                + idx.reshape(nrows, -1)).ravel()
 
@@ -283,7 +314,8 @@ class GradTape:
             out = np.bincount(lin, weights=g.ravel(), minlength=ad.size)
             return (out.reshape(ad.shape).astype(ad.dtype, copy=False),)
 
-        return self._emit(np.take_along_axis(ad, idx, axis=-1), (a,), bwd)
+        return self._emit(np.take(ad.reshape(-1), lin).reshape(idx.shape), (a,),
+                          bwd)
 
     def take_rows(self, a: Tensor, idx: np.ndarray) -> Tensor:
         """Batched row selection along one middle axis.
@@ -308,16 +340,18 @@ class GradTape:
         af = a.data.reshape((nb, n) + tail)
         idf = idx.reshape(nb, -1)
         ni = idf.shape[1]
-        rows = np.arange(nb)[:, None]
+        rows = np.arange(nb)
         ash = a.shape
-        out = af[rows, idf]
+        out = af[rows[:, None], idf]
 
         def bwd(g):
-            # scatter-add as a one-hot matmul: N x I times I x tail
+            # scatter-add one selection slot at a time: within a slot every
+            # batch row writes one row of its own, so no two writes collide
             g2 = g.reshape(nb, ni, -1)
-            onehot = np.zeros((nb, n, ni), dtype=g2.dtype)
-            onehot[rows, idf, np.arange(ni)[None, :]] = 1.0
-            return (np.matmul(onehot, g2).reshape(ash),)
+            da = np.zeros((nb, n, g2.shape[-1]), dtype=g2.dtype)
+            for i in range(ni):
+                da[rows, idf[:, i]] += g2[:, i]
+            return (da.reshape(ash),)
 
         return self._emit(out.reshape(lead + (ni,) + tail), (a,), bwd)
 
@@ -476,7 +510,12 @@ class GradTape:
     # ---- reverse pass ----
 
     def backward(self, loss: Tensor) -> Gradients:
-        """Walk the tape once in reverse from a scalar loss."""
+        """Walk the tape once in reverse from a scalar loss.
+
+        Each intermediate gradient is dropped as soon as its node has passed
+        it on to the node's inputs, so at most the gradients still waiting
+        to be consumed are alive at once; only watched leaves keep theirs.
+        """
         if not self.recording:
             raise ContractError("tape was created with recording=False")
         if loss.size != 1:
@@ -491,7 +530,8 @@ class GradTape:
                 continue
             ids, bwd = self._nodes[i]
             if bwd is None:
-                continue
+                continue  # a leaf keeps its gradient
+            grads[i] = _FREED
             for j, c in zip(ids, bwd(g)):
                 if j is None:
                     continue

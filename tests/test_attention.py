@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chunkmem.attention import (
+    MIN_WINDOWS_FOR_BLOCKS,
     AttentionParams,
     HcamParams,
     ScoreCounter,
@@ -170,6 +171,54 @@ def test_local_attention_position_codes_change_scores():
     assert np.max(np.abs(plain - coded)) > 1e-6
 
 
+def windowed_reference(seq, n_carry, w, p, h, pos):
+    """Per-query dense oracle: each query attends to its own window, with
+    the position code of each key added to the key input only."""
+    rows = []
+    for gq in range(n_carry, seq.shape[0]):
+        lo = max(0, gq - w + 1)
+        keys = seq[lo:gq + 1] + pos[:gq + 1 - lo]
+        dh = seq.shape[1] // h
+        q = seq[gq:gq + 1] @ p.wq.data
+        k = keys @ p.wk.data
+        v = seq[lo:gq + 1] @ p.wv.data
+        heads = []
+        for i in range(h):
+            sl = slice(i * dh, (i + 1) * dh)
+            s = q[:, sl] @ k[:, sl].T / np.sqrt(dh)
+            e = np.exp(s - s.max())
+            heads.append((e / e.sum()) @ v[:, sl])
+        rows.append(np.concatenate(heads, axis=-1) @ p.wo.data)
+    return np.concatenate(rows, axis=0)
+
+
+@pytest.mark.parametrize("n_carry", [0, 2, 7])
+def test_local_attention_blocked_matches_windowed_reference(n_carry):
+    rng = make_rng(12)
+    p = init_attention_params(rng, 8)
+    w = 3
+    t_len = MIN_WINDOWS_FOR_BLOCKS * w + 2  # blocked, last block partial
+    pos = sinusoidal_table(w, 8)
+    seq = rng.normal(size=(2, n_carry + t_len, 8))
+    got = local_attention(GradTape(), Tensor(seq), w, p, n_heads=2,
+                          pos_table=pos, n_carry=n_carry).data
+    assert got.shape == (2, t_len, 8)
+    for b in range(2):
+        want = windowed_reference(seq[b], n_carry, w, p, 2, pos)
+        assert np.max(np.abs(got[b] - want)) < 1e-10
+
+
+def test_local_attention_blocked_counts_block_pairs():
+    rng = make_rng(13)
+    p = init_attention_params(rng, 8)
+    w, t_len = 4, MIN_WINDOWS_FOR_BLOCKS * 4 + 1
+    c = ScoreCounter()
+    local_attention(GradTape(), Tensor(rng.normal(size=(3, t_len, 8))), w, p,
+                    n_heads=2, counter=c)
+    n_blocks = -(-t_len // w)
+    assert c.scores == 3 * n_blocks * w * 2 * w
+
+
 # ---- relevance and selection ----
 
 def test_chunk_relevance_matches_naive():
@@ -244,6 +293,14 @@ def test_top_k_batched_rows_independent():
 def small_block(seed, d=8, heads=2):
     rng = make_rng(seed)
     return init_hcam_params(rng, d), rng
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_hcam_params_keeps_dtype(dtype):
+    p = init_hcam_params(make_rng(15), 8, dtype=dtype)
+    arrays = [p.ln_gain, p.ln_bias, p.w_rel,
+              p.mha.wq, p.mha.wk, p.mha.wv, p.mha.wo]
+    assert all(t.dtype == dtype for t in arrays)
 
 
 def test_hcam_empty_memory_is_identity():

@@ -186,6 +186,9 @@ HCAM_CASES = [
          n_layers=2),
     dict(chunk_size=1, top_k=3, local_window=1, capacity=4, overlap=0,
          n_layers=1),
+    # several local-attention blocks; overlapping chunks evicted mid-call
+    dict(chunk_size=3, top_k=2, local_window=4, capacity=2, overlap=1,
+         n_layers=2),
 ]
 
 
@@ -213,6 +216,24 @@ def test_hcam_sequence_split_matches_single_call():
     h2, _ = forward_sequence(tape2, model, Tensor(xs[16:]), state=state)
     joined = np.concatenate([h1.data, h2.data], axis=0)
     assert np.max(np.abs(full.data - joined)) < 1e-9
+
+
+def test_hcam_long_split_calls_match_steps():
+    # every call is several local-attention blocks long and starts with
+    # carried rows, a partial chunk buffer and evicted chunks
+    cfg = ModelConfig(kind="hcam", d_model=12, n_heads=2, n_layers=2,
+                      chunk_size=4, top_k=2, local_window=3, capacity=3,
+                      overlap=1)
+    model = Model(cfg, seed=4)
+    xs = make_rng(8).normal(size=(2, 45, 12))
+    tape = GradTape()
+    state, parts = None, []
+    for lo, hi in ((0, 13), (13, 30), (30, 45)):
+        y, state = forward_sequence(tape, model, Tensor(xs[:, lo:hi]), state)
+        parts.append(y.data)
+    joined = np.concatenate(parts, axis=1)
+    for b in range(2):
+        assert np.max(np.abs(joined[b] - run_steps(model, xs[b]))) < 1e-9
 
 
 def test_hcam_batched_matches_unbatched_rows():

@@ -6,6 +6,7 @@ import pytest
 from chunkmem.errors import ContractError, ShapeError
 from chunkmem.optim import Adam
 from chunkmem.rng import make_rng
+from chunkmem.stack import Model, ModelConfig, forward_sequence
 from chunkmem.tensor import GradTape, Tensor
 
 
@@ -196,6 +197,23 @@ def test_gather_last_values():
     assert np.array_equal(got, [[0.0, 3.0], [5.0, 5.0], [10.0, 8.0]])
 
 
+def test_take_rows_duplicate_selections_accumulate():
+    rng = make_rng(17)
+    a = Tensor(rng.normal(size=(2, 4, 3)))
+    idx = np.array([[1, 1, 3], [0, 2, 0]])
+    mix = rng.normal(size=(2, 3, 3))
+    tp = tape()
+    tp.watch(a)
+    out = tp.take_rows(a, idx)
+    assert np.array_equal(out.data, a.data[np.arange(2)[:, None], idx])
+    g = tp.backward(tp.reduce_sum(tp.multiply(out, Tensor(mix))))[a].data
+    want = np.zeros((2, 4, 3))
+    for b in range(2):
+        for i in range(3):
+            want[b, idx[b, i]] += mix[b, i]
+    assert np.array_equal(g, want)
+
+
 # ---- cross entropy ----
 
 def test_cross_entropy_frozen_value():
@@ -322,6 +340,45 @@ def test_diamond_graph_accumulates():
     loss = tp.reduce_sum(tp.add(a, a))
     g = tp.backward(loss)[x].data
     assert np.max(np.abs(g - 4 * x.data)) < 1e-14
+
+
+def test_reading_a_freed_intermediate_gradient_raises():
+    x = Tensor(np.array([0.5, -1.0, 2.0]))
+    tp = tape()
+    tp.watch(x)
+    y = tp.tanh(x)
+    loss = tp.reduce_sum(y)
+    g = tp.backward(loss)
+    with pytest.raises(ContractError):
+        g[y]
+    with pytest.raises(ContractError):
+        g[loss]
+    assert np.array_equal(g[x].data, 1.0 - np.tanh(x.data) ** 2)
+
+
+class EveryGradientTape(GradTape):
+    """Also differentiates constant operands, whose gradients go unread."""
+
+    def _live(self, t):
+        return True
+
+
+@pytest.mark.parametrize("kind", ["hcam", "trxl"])
+def test_skipping_constant_operand_gradients_is_bitwise_neutral(kind):
+    # long enough for blocked local attention and several recall segments
+    cfg = ModelConfig(kind=kind, d_model=8, n_heads=2, n_layers=2,
+                      chunk_size=3, top_k=2, local_window=2, capacity=3,
+                      xl_extra_length=3)
+    model = Model(cfg, seed=2)
+    xs = make_rng(18).normal(size=(2, 13, 8))
+    grads = []
+    for tp in (GradTape(), EveryGradientTape()):
+        model.watch_all(tp)
+        ys, _ = forward_sequence(tp, model, Tensor(xs))
+        g = tp.backward(tp.reduce_sum(tp.tanh(ys)))
+        grads.append({k: g[p].data for k, p in model.params.items()})
+    for name in model.params:
+        assert np.array_equal(grads[0][name], grads[1][name]), name
 
 
 def test_non_recording_tape_skips_graph():
