@@ -11,7 +11,6 @@ from .attention import (
     AttentionParams,
     HcamParams,
     ScoreCounter,
-    attention_op_count,
     chunk_relevance,
     hcam_block,
     local_attention,
@@ -89,7 +88,6 @@ __all__ = [
     "Tensor",
     "TruncatedBlobError",
     "VersionMismatchError",
-    "attention_op_count",
     "ballet_batch",
     "build_model",
     "chunk_relevance",

@@ -428,14 +428,6 @@ def hcam_block(
     return tape.add(x, result)
 
 
-def attention_op_count(n_chunks: int, chunk_size: int, k: int) -> tuple[int, int]:
-    """Score computations per query: (summary-then-top-k, attend-everything).
-
-    Assumes k <= n_chunks, the only regime the sparse path is for.
-    """
-    return (n_chunks + k * chunk_size, n_chunks * chunk_size)
-
-
 def relative_attention_weights(weights: np.ndarray) -> np.ndarray:
     """Attention weights divided by the uniform weight 1/N over the last axis.
 

@@ -15,12 +15,11 @@ from time import perf_counter
 import numpy as np
 
 from .attention import (
-    AttentionParams,
-    HcamParams,
     ScoreCounter,
     hcam_block,
+    init_attention_params,
+    init_hcam_params,
     multi_head_attention,
-    scaled_uniform,
 )
 from .errors import ContractError
 from .rng import make_rng
@@ -69,15 +68,8 @@ def run_bench(n_chunks: int = 32, chunk_size: int = 8, top_k: int = 2,
         raise ContractError(f"top_k {top_k} > n_chunks {n_chunks}")
     rng = make_rng(seed)
     d = d_model
-
-    def proj():
-        return Tensor(scaled_uniform(rng, d, d))
-
-    hparams = HcamParams(
-        ln_gain=Tensor(np.ones(d)), ln_bias=Tensor(np.zeros(d)),
-        w_rel=proj(),
-        mha=AttentionParams(proj(), proj(), proj(), proj()))
-    dense_params = AttentionParams(proj(), proj(), proj(), proj())
+    hparams = init_hcam_params(rng, d)
+    dense_params = init_attention_params(rng, d)
 
     chunks = rng.standard_normal((n_chunks, chunk_size, d))
     summaries = chunks.mean(axis=1)

@@ -80,7 +80,9 @@ class ChunkMemory:
         Returned arrays are snapshots: later writes never mutate them and
         callers may scribble on them freely.
         """
-        if not self.chunks:
+        if not self.chunks:  # every row written so far is in the buffer
             shape = self._row_shape or (0,)
-            return (np.zeros((0,) + shape), np.zeros((0, self.chunk_size) + shape))
+            dtype = self.buffer[0].dtype if self.buffer else np.float64
+            return (np.zeros((0,) + shape, dtype),
+                    np.zeros((0, self.chunk_size) + shape, dtype))
         return (np.stack(self.summaries), np.stack(self.chunks))

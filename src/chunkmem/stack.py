@@ -2,11 +2,12 @@
 
 Every layer of the chunked-recall stack does, in order: write the raw layer
 input to that layer's chunk memory, add windowed causal self-attention, add
-relevance-gated recall over the memory's frozen chunks, add an MLP. The
-same parameters drive two forward paths: stack_step consumes one timestep
-at a time (the reference semantics), and forward_sequence computes a whole
-sequence at once by grouping positions that see the same number of frozen
-chunks. The two agree to float rounding, which the tests pin down.
+relevance-gated recall over the memory's frozen chunks, add an MLP. One
+per-layer routine runs every model kind. forward_sequence hands it a whole
+sequence, which recall handles by grouping positions that see the same
+number of frozen chunks; stack_step hands it a one-step sequence. The
+tests check both against a step-at-a-time reference that writes to and
+reads from a ChunkMemory on every step.
 
 Baselines: a TransformerXL-flavored stack (windowed attention extended by a
 gradient-stopped cache of older inputs), the same with per-head top-k score
@@ -25,6 +26,8 @@ from .attention import (
     NEG_INF,
     ScoreCounter,
     hcam_block,
+    init_attention_params,
+    init_hcam_params,
     local_attention,
     multi_head_attention,
     project_chunks,
@@ -139,6 +142,10 @@ class Model:
         self.params[name] = t
         return t
 
+    def _adopt(self, prefix: str, attn: AttentionParams) -> None:
+        for name in ("wq", "wk", "wv", "wo"):
+            self.params[prefix + name] = getattr(attn, name)
+
     def _build(self, rng):
         cfg = self.config
         d, dt = cfg.d_model, cfg.np_dtype
@@ -170,30 +177,15 @@ class Model:
                     b=self._reg(p + "b", np.zeros(4 * d, dtype=dt)),
                 ))
                 continue
-            attn = AttentionParams(
-                wq=self._reg(p + "attn.wq", scaled_uniform(rng, d, d, dtype=dt)),
-                wk=self._reg(p + "attn.wk", scaled_uniform(rng, d, d, dtype=dt)),
-                wv=self._reg(p + "attn.wv", scaled_uniform(rng, d, d, dtype=dt)),
-                wo=self._reg(p + "attn.wo", scaled_uniform(rng, d, d, dtype=dt)),
-            )
+            attn = init_attention_params(rng, d, dtype=dt)
+            self._adopt(p + "attn.", attn)
             hcam = None
             if cfg.kind == "hcam":
-                hcam = HcamParams(
-                    ln_gain=self._reg(p + "hcam.ln.g", np.ones(d, dtype=dt)),
-                    ln_bias=self._reg(p + "hcam.ln.b", np.zeros(d, dtype=dt)),
-                    w_rel=self._reg(p + "hcam.w_rel",
-                                    scaled_uniform(rng, d, d, dtype=dt)),
-                    mha=AttentionParams(
-                        wq=self._reg(p + "hcam.mha.wq",
-                                     scaled_uniform(rng, d, d, dtype=dt)),
-                        wk=self._reg(p + "hcam.mha.wk",
-                                     scaled_uniform(rng, d, d, dtype=dt)),
-                        wv=self._reg(p + "hcam.mha.wv",
-                                     scaled_uniform(rng, d, d, dtype=dt)),
-                        wo=self._reg(p + "hcam.mha.wo",
-                                     scaled_uniform(rng, d, d, dtype=dt)),
-                    ),
-                )
+                hcam = init_hcam_params(rng, d, dtype=dt)
+                self.params[p + "hcam.ln.g"] = hcam.ln_gain
+                self.params[p + "hcam.ln.b"] = hcam.ln_bias
+                self.params[p + "hcam.w_rel"] = hcam.w_rel
+                self._adopt(p + "hcam.mha.", hcam.mha)
             self.layers.append(AttnLayer(
                 attn_ln_g=self._reg(p + "attn_ln.g", np.ones(d, dtype=dt)),
                 attn_ln_b=self._reg(p + "attn_ln.b", np.zeros(d, dtype=dt)),
@@ -322,37 +314,6 @@ def _trxl_attention(
         key_pos=(pos_table, codes2), topk=topk, counter=counter)
 
 
-def trxl_layer_step(
-    tape: GradTape,
-    x: Tensor,
-    recent: list[Tensor],
-    layer: AttnLayer,
-    n_heads: int,
-    window: int,
-    xl_extra: int,
-    pos_table: np.ndarray,
-    topk: int | None = None,
-    counter: ScoreCounter | None = None,
-) -> Tensor:
-    """One XL-baseline layer for one timestep; recent excludes x itself."""
-    span = window + xl_extra
-    rows = recent[-(span - 1):] if span > 1 else []
-    seq = tape.concat(list(rows) + [x], axis=-2)
-    normed = tape.layer_norm(seq, layer.attn_ln_g, layer.attn_ln_b)
-    att = _trxl_attention(
-        tape, normed, window, xl_extra, layer, n_heads, pos_table,
-        n_carry=seq.shape[-2] - x.shape[-2], topk=topk, counter=counter)
-    h = tape.add(x, att)
-    return _mlp(tape, layer, h)
-
-
-def trxl_topk_step(tape, x, recent, layer, n_heads, window, xl_extra,
-                   pos_table, topk: int) -> Tensor:
-    """XL step where each head keeps only its top-k pre-softmax scores."""
-    return trxl_layer_step(tape, x, recent, layer, n_heads, window, xl_extra,
-                           pos_table, topk=topk)
-
-
 def _as_rows(tape: GradTape, x: Tensor, d: int):
     """Normalize a step input to (batch..., 1, d); returns (rows, restore)."""
     if x.shape[-1] != d:
@@ -370,58 +331,6 @@ def _memory_views(mem: ChunkMemory):
     summaries, chunks = mem.read()  # (N, ...row), (N, C, ...row)
     return (np.moveaxis(summaries, 0, -2),
             np.moveaxis(chunks, (0, 1), (-3, -2)))
-
-
-def stack_step(tape: GradTape, model: Model, state: StackState, x: Tensor,
-               counter: ScoreCounter | None = None) -> Tensor:
-    """Advance the whole stack one timestep.
-
-    x is one d_model row, optionally with leading batch axes. Accepted
-    shapes: (d,), (batch..., d), or (batch..., 1, d).
-    """
-    cfg = model.config
-
-    if cfg.kind == "lstm":
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = tape.reshape(x, (1, cfg.d_model))
-        for li, layer in enumerate(model.layers):
-            h2, c2 = lstm_cell(tape, x, state.lstm_h[li], state.lstm_c[li], layer)
-            state.lstm_h[li] = h2
-            state.lstm_c[li] = c2
-            x = h2
-        return tape.reshape(x, (cfg.d_model,)) if squeeze else x
-
-    x, restore = _as_rows(tape, x, cfg.d_model)
-    topk = cfg.top_k if cfg.kind == "trxl_topk" else None
-    for li, layer in enumerate(model.layers):
-        if cfg.kind == "hcam":
-            state.memories[li].write_step(x.data[..., 0, :])
-            rows = state.recent[li][-(cfg.local_window - 1):] \
-                if cfg.local_window > 1 else []
-            seq = tape.concat(list(rows) + [x], axis=-2)
-            normed = tape.layer_norm(seq, layer.attn_ln_g, layer.attn_ln_b)
-            att = local_attention(
-                tape, normed, cfg.local_window, layer.attn, cfg.n_heads,
-                pos_table=model.pos_local, n_carry=seq.shape[-2] - 1)
-            h = tape.add(x, att)
-            summaries, chunks = _memory_views(state.memories[li])
-            h = hcam_block(
-                tape, h, summaries, chunks, layer.hcam, cfg.n_heads,
-                cfg.top_k, pos_table=model.pos_chunk, counter=counter)
-            y = _mlp(tape, layer, h)
-        else:
-            y = trxl_layer_step(
-                tape, x, state.recent[li], layer, cfg.n_heads,
-                cfg.local_window, cfg.xl_extra_length, model.pos_local,
-                topk=topk, counter=counter)
-        state.recent[li].append(x)
-        keep = cfg.span - 1
-        drop = len(state.recent[li]) - keep
-        if drop > 0:
-            del state.recent[li][:drop]
-        x = y
-    return restore(x)
 
 
 def _chunk_schedule(buffer_len: int, t_len: int, chunk_size: int,
@@ -508,27 +417,12 @@ def _hcam_over_sequence(tape, model: Model, mem: ChunkMemory, layer: AttnLayer,
     return segs[0] if len(segs) == 1 else tape.concat(segs, axis=-2)
 
 
-def forward_sequence(
-    tape: GradTape,
-    model: Model,
-    xs: Tensor,
-    state: StackState | None = None,
-    counter: ScoreCounter | None = None,
-) -> tuple[Tensor, StackState]:
-    """Run T timesteps at once; equals T stack_step calls to float rounding.
-
-    xs is (batch..., T, d_model). state=None starts a fresh episode;
-    passing the returned state continues one on the same tape.
-    """
+def _forward(tape: GradTape, model: Model, xs: Tensor, state: StackState,
+             counter: ScoreCounter | None) -> Tensor:
+    """The one per-layer routine behind forward_sequence and stack_step."""
     cfg = model.config
-    if xs.ndim < 2:
-        raise ContractError("forward_sequence needs (..., T, d_model) input")
-    if xs.shape[-1] != cfg.d_model:
-        raise ContractError(f"input width {xs.shape[-1]} != d_model {cfg.d_model}")
     t_len = xs.shape[-2]
     batch_shape = xs.shape[:-2]
-    if state is None:
-        state = init_state(model, batch_shape)
 
     if cfg.kind == "lstm":
         lead = batch_shape if batch_shape else (1,)
@@ -543,7 +437,7 @@ def forward_sequence(
                 state.lstm_c[li] = c2
                 x = h2
             outs.append(tape.reshape(x, batch_shape + (1, cfg.d_model)))
-        return tape.concat(outs, axis=-2), state
+        return tape.concat(outs, axis=-2)
 
     topk = cfg.top_k if cfg.kind == "trxl_topk" else None
     x = xs
@@ -580,4 +474,38 @@ def forward_sequence(
             for t in range(t_len):
                 mem.write_step(x.data[..., t, :])
         x = y
-    return x, state
+    return x
+
+
+def forward_sequence(
+    tape: GradTape,
+    model: Model,
+    xs: Tensor,
+    state: StackState | None = None,
+    counter: ScoreCounter | None = None,
+) -> tuple[Tensor, StackState]:
+    """Run T timesteps at once; equals T stack_step calls to float rounding.
+
+    xs is (batch..., T, d_model). state=None starts a fresh episode;
+    passing the returned state continues one on the same tape.
+    """
+    cfg = model.config
+    if xs.ndim < 2:
+        raise ContractError("forward_sequence needs (..., T, d_model) input")
+    if xs.shape[-1] != cfg.d_model:
+        raise ContractError(f"input width {xs.shape[-1]} != d_model {cfg.d_model}")
+    if state is None:
+        state = init_state(model, xs.shape[:-2])
+    return _forward(tape, model, xs, state, counter), state
+
+
+def stack_step(tape: GradTape, model: Model, state: StackState, x: Tensor,
+               counter: ScoreCounter | None = None) -> Tensor:
+    """Advance the whole stack one timestep: the T=1 case of forward_sequence.
+
+    x is one d_model row, optionally with leading batch axes. Accepted
+    shapes: (d,), (batch..., d), or (batch..., 1, d); the output has the
+    shape of x. state is updated in place.
+    """
+    rows, restore = _as_rows(tape, x, model.config.d_model)
+    return restore(_forward(tape, model, rows, state, counter))

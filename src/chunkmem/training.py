@@ -337,7 +337,7 @@ def save_checkpoint(path: str, model: Model) -> None:
             f.write(b)
 
 
-_CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
+_CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(ModelConfig)}
 
 
 def load_checkpoint(path: str) -> Model:
@@ -352,7 +352,10 @@ def load_checkpoint(path: str) -> Model:
     sep = raw.find(b"\n\n")
     if sep < 0:
         raise CheckpointError("no blank line separating manifest from blob")
-    header = raw[:sep].decode()
+    try:
+        header = raw[:sep].decode()
+    except UnicodeDecodeError as e:
+        raise CheckpointError(f"manifest is not UTF-8: {e}") from None
     blob = raw[sep + 2:]
 
     lines = header.split("\n")
@@ -366,19 +369,25 @@ def load_checkpoint(path: str) -> Model:
     total = None
     for line in lines[1:]:
         kind, _, rest = line.partition(" ")
-        if kind == "config":
-            key, _, value = rest.partition(" ")
-            if key not in _CONFIG_TYPES:
-                raise CheckpointError(f"unknown config key {key!r}")
-            cfg_kv[key] = value if _CONFIG_TYPES[key] == "str" else int(value)
-        elif kind == "param":
-            name, shape_s, off_s = rest.rsplit(" ", 2)
-            shape = tuple(int(s) for s in shape_s.split("x"))
-            manifest.append((name, shape, int(off_s)))
-        elif kind == "blob":
-            total = int(rest)
-        else:
-            raise CheckpointError(f"unrecognized manifest line {line!r}")
+        try:
+            if kind == "config":
+                key, _, value = rest.partition(" ")
+                if key not in _CONFIG_TYPES:
+                    raise CheckpointError(f"unknown config key {key!r}")
+                cfg_kv[key] = _CONFIG_TYPES[key](value)
+            elif kind == "param":
+                name, shape_s, off_s = rest.rsplit(" ", 2)
+                shape = tuple(int(s) for s in shape_s.split("x"))
+                manifest.append((name, shape, int(off_s)))
+            elif kind == "blob":
+                total = int(rest)
+            else:
+                raise CheckpointError(f"unrecognized manifest line {line!r}")
+        except CheckpointError:
+            raise
+        except ValueError as e:  # int() or unpacking of a malformed field
+            raise CheckpointError(
+                f"malformed manifest line {line!r}: {e}") from None
     if total is None:
         raise CheckpointError("manifest has no blob size line")
 

@@ -8,7 +8,6 @@ from chunkmem.attention import (
     AttentionParams,
     HcamParams,
     ScoreCounter,
-    attention_op_count,
     chunk_relevance,
     hcam_block,
     init_attention_params,
@@ -19,6 +18,7 @@ from chunkmem.attention import (
     sinusoidal_table,
     top_k_select,
 )
+from chunkmem.benchmark import dense_score_count, hcam_score_count
 from chunkmem.errors import ContractError, EmptyMemoryError
 from chunkmem.gradcheck import fd_check
 from chunkmem.rng import make_rng
@@ -360,9 +360,9 @@ def test_hcam_counter_matches_op_count():
     ctr = ScoreCounter()
     hcam_block(GradTape(), Tensor(x), chunks.mean(1), chunks, p,
                n_heads=2, top_k=k, counter=ctr)
-    per_query, dense = attention_op_count(n, c, k)
+    per_query, dense = hcam_score_count(n, c, k), dense_score_count(n, c)
     assert ctr.scores == q * per_query
-    assert attention_op_count(32, 8, 2) == (48, 256)
+    assert (hcam_score_count(32, 8, 2), dense_score_count(32, 8)) == (48, 256)
     assert dense == n * c
 
 

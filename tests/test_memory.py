@@ -111,6 +111,14 @@ def test_empty_read_shapes():
     assert s.shape[0] == 0 and c.shape[0] == 0
 
 
+def test_empty_read_keeps_written_dtype():
+    m = ChunkMemory(chunk_size=2)
+    m.write_step(np.zeros((2, 3), dtype=np.float32))  # buffered, not frozen
+    s, c = m.read()
+    assert s.shape == (0, 2, 3) and c.shape == (0, 2, 2, 3)
+    assert s.dtype == np.float32 and c.dtype == np.float32
+
+
 def test_invalid_configs_raise():
     with pytest.raises(ContractError):
         ChunkMemory(chunk_size=0)

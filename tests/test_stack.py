@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chunkmem.attention import hcam_block, local_attention
 from chunkmem.errors import ContractError
 from chunkmem.rng import make_rng
 from chunkmem.stack import (
@@ -16,8 +17,6 @@ from chunkmem.stack import (
     parameter_count,
     parity_report,
     stack_step,
-    trxl_layer_step,
-    trxl_topk_step,
 )
 from chunkmem.memory import ChunkMemory
 from chunkmem.tensor import GradTape, Tensor
@@ -58,6 +57,42 @@ def ref_mha(q_in, k_in, v_in, params, n_heads, keep_top=None):
     return np.concatenate(heads, axis=-1) @ wo
 
 
+def np_mlp(h, layer):
+    z = np_ln(h, layer.mlp_ln_g.data, layer.mlp_ln_b.data)
+    a = np.maximum(0.0, z @ layer.w1.data + layer.b1.data)
+    return h + a @ layer.w2.data + layer.b2.data
+
+
+def ref_hcam_steps(model, xs):
+    """Step-at-a-time hcam stack over xs (T, d). Per step and layer: write
+    the layer input to a ChunkMemory, attend locally over the carried rows,
+    recall with hcam_block over what ChunkMemory.read() returns, apply the
+    MLP. Unlike the library, nothing is grouped or projected ahead."""
+    cfg = model.config
+    tape = GradTape(recording=False)
+    mems = [ChunkMemory(cfg.chunk_size, cfg.overlap, cfg.capacity)
+            for _ in model.layers]
+    recent = [[] for _ in model.layers]
+    outs = []
+    for row in xs:
+        x = Tensor(row[None, :])
+        for layer, mem, rows in zip(model.layers, mems, recent):
+            mem.write_step(x.data[0])
+            seq = tape.concat(rows + [x], axis=-2)
+            normed = tape.layer_norm(seq, layer.attn_ln_g, layer.attn_ln_b)
+            h = tape.add(x, local_attention(
+                tape, normed, cfg.local_window, layer.attn, cfg.n_heads,
+                pos_table=model.pos_local, n_carry=len(rows)))
+            summaries, chunks = mem.read()
+            h = hcam_block(tape, h, summaries, chunks, layer.hcam, cfg.n_heads,
+                           cfg.top_k, pos_table=model.pos_chunk)
+            rows.append(x)
+            del rows[:max(0, len(rows) - (cfg.local_window - 1))]
+            x = Tensor(np_mlp(h.data, layer))
+        outs.append(x.data[0])
+    return np.stack(outs)
+
+
 def ref_trxl_forward(xs, layer, n_heads, window, xl, pos, keep_top=None):
     """Whole-sequence XL layer reference: per-step loop, positions added to
     the key inputs directly (the library realizes the same term as a score
@@ -74,10 +109,7 @@ def ref_trxl_forward(xs, layer, n_heads, window, xl, pos, keep_top=None):
         k_in = normed[idx] + pos[codes]
         att = ref_mha(normed[t:t + 1], k_in, normed[idx], layer.attn,
                       n_heads, keep_top=keep_top)
-        h = xs[t] + att[0]
-        z = np_ln(h, layer.mlp_ln_g.data, layer.mlp_ln_b.data)
-        a = np.maximum(0.0, z @ layer.w1.data + layer.b1.data)
-        out[t] = h + a @ layer.w2.data + layer.b2.data
+        out[t] = np_mlp(xs[t] + att[0], layer)
     return out
 
 
@@ -199,7 +231,10 @@ def test_hcam_step_equals_sequence(case):
     xs = make_rng(7).normal(size=(17, 12))
     a = run_steps(model, xs)
     b = run_sequence(model, xs)
+    ref = ref_hcam_steps(model, xs)
     assert np.max(np.abs(a - b)) < 1e-9
+    assert np.max(np.abs(a - ref)) < 1e-9
+    assert np.max(np.abs(b - ref)) < 1e-9
 
 
 def test_hcam_sequence_split_matches_single_call():
@@ -233,7 +268,11 @@ def test_hcam_long_split_calls_match_steps():
         parts.append(y.data)
     joined = np.concatenate(parts, axis=1)
     for b in range(2):
-        assert np.max(np.abs(joined[b] - run_steps(model, xs[b]))) < 1e-9
+        steps = run_steps(model, xs[b])
+        ref = ref_hcam_steps(model, xs[b])
+        assert np.max(np.abs(joined[b] - steps)) < 1e-9
+        assert np.max(np.abs(joined[b] - ref)) < 1e-9
+        assert np.max(np.abs(steps - ref)) < 1e-9
 
 
 def test_hcam_batched_matches_unbatched_rows():

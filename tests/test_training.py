@@ -252,6 +252,20 @@ def test_checkpoint_shape_mismatch(tmp_path):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("old,new", [
+    (b"config d_model 32\n", b"config d_model 32x\n"),  # not an int
+    (b"param head.w 32x2 ", b"param head.w 32xq "),      # not a shape
+    (b"param head.w ", b"param head.\xffw "),             # not UTF-8
+], ids=["config_value", "param_shape", "non_utf8"])
+def test_checkpoint_malformed_manifest(tmp_path, old, new):
+    path = _saved(tmp_path)
+    raw = path.read_bytes()
+    assert old in raw
+    path.write_bytes(raw.replace(old, new, 1))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(str(path))
+
+
 def test_checkpoint_missing_param_line(tmp_path):
     path = _saved(tmp_path)
     lines = path.read_bytes().split(b"\n")
