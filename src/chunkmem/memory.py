@@ -1,11 +1,17 @@
 """Append-only chunked episodic store.
 
-Rows arrive one per step and accumulate in a write buffer; every time the
+Rows arrive in time order and accumulate in a write buffer; every time the
 buffer fills a chunk of C rows, the chunk is frozen together with its
 mean-pooled summary row. Only frozen chunks are readable: the partial
 buffer is invisible to queries. An optional overlap re-seeds the next
 buffer with the tail of the chunk just frozen, and a capacity cap evicts
-the oldest chunk first (a guard; conforming configs never hit it).
+the oldest chunk first.
+
+Contents are kept as arrays in the layout recall reads, with any leading
+batch axes of the written rows first: summaries (..., N, d), chunks
+(..., N, C, d) and the partial buffer (..., b, d). They are sized by what
+has been written, not by capacity. write takes a whole (..., T, d)
+sequence and freezes every chunk it completes with one gather.
 """
 
 from __future__ import annotations
@@ -31,58 +37,74 @@ class ChunkMemory:
         self.chunk_size = chunk_size
         self.overlap = overlap
         self.capacity = capacity
-        self.chunks: list[np.ndarray] = []      # each (C, ...row)
-        self.summaries: list[np.ndarray] = []   # each (...row)
-        self.buffer: list[np.ndarray] = []
-        self.total_writes = 0
-        self._row_shape: tuple | None = None
+        self.reset()
 
     @property
     def n_chunks(self) -> int:
-        return len(self.chunks)
+        return self.chunks.shape[-3]
 
     def reset(self) -> None:
         """Forget all contents; configuration survives. Idempotent."""
-        self.chunks = []
-        self.summaries = []
-        self.buffer = []
-        self.total_writes = 0
-        self._row_shape = None
+        self._row_shape: tuple | None = None
+        self._empty((), 0, np.float64)
+
+    def _empty(self, lead: tuple, d: int, dtype) -> None:
+        self.summaries = np.zeros(lead + (0, d), dtype)
+        self.chunks = np.zeros(lead + (0, self.chunk_size, d), dtype)
+        self.buffer = np.zeros(lead + (0, d), dtype)
 
     def write_step(self, row) -> None:
-        """Append one step's row; freezes a chunk when the buffer fills."""
-        if isinstance(row, Tensor):
-            row = row.data
-        row = np.array(row, copy=True)  # detach: memory never joins a tape
+        """Append one step's row (..., d): write with T = 1."""
+        row = row.data if isinstance(row, Tensor) else np.asarray(row)
+        self.write(row[..., None, :])
+
+    def write(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Append rows (..., T, d) in time order; freeze the chunks they fill.
+
+        Returns (summaries, chunks, n_visible): the stored chunks followed
+        by the ones this call froze, before eviction, and for each of the T
+        steps how many of them exist once that step's row is written. Step
+        t may read chunks [max(0, n_visible[t] - capacity), n_visible[t]),
+        which includes chunks a later step of the same call evicts. The
+        returned arrays share memory with the store; read() gives copies.
+        """
+        rows = rows.data if isinstance(rows, Tensor) else np.asarray(rows)
+        # every array stored below is a fresh copy: memory never joins a tape
+        if rows.ndim < 2:
+            raise ShapeError(f"write needs (..., T, d) rows, got {rows.shape}")
+        row_shape = rows.shape[:-2] + rows.shape[-1:]
         if self._row_shape is None:
-            self._row_shape = row.shape
-        elif row.shape != self._row_shape:
+            self._row_shape = row_shape
+            self._empty(rows.shape[:-2], rows.shape[-1], rows.dtype)
+        elif row_shape != self._row_shape:
             raise ShapeError(
-                f"memory rows have shape {self._row_shape}, got {row.shape}"
+                f"memory rows have shape {self._row_shape}, got {row_shape}"
             )
-        self.buffer.append(row)
-        self.total_writes += 1
-        if len(self.buffer) == self.chunk_size:
-            chunk = np.stack(self.buffer)
-            self.chunks.append(chunk)
-            self.summaries.append(chunk.mean(axis=0))
-            if len(self.chunks) > self.capacity:
-                del self.chunks[0]
-                del self.summaries[0]
-            if self.overlap:
-                self.buffer = [r.copy() for r in self.buffer[-self.overlap:]]
-            else:
-                self.buffer = []
+        c = self.chunk_size
+        stride = c - self.overlap
+        b0 = self.buffer.shape[-2]
+        combined = np.concatenate([self.buffer, rows], axis=-2)
+        # chunk j of this call covers combined[j*stride : j*stride + c]
+        filled = np.arange(b0 + 1, combined.shape[-2] + 1)
+        frozen = np.maximum(0, (filled - c) // stride + 1)
+        n_visible = self.n_chunks + frozen
+        n_new = int(frozen[-1]) if len(frozen) else 0
+        summaries, chunks = self.summaries, self.chunks
+        if n_new:
+            idx = (np.arange(n_new) * stride)[:, None] + np.arange(c)
+            new_chunks = combined[..., idx, :]
+            summaries = np.concatenate(
+                [summaries, new_chunks.mean(axis=-2)], axis=-2)
+            chunks = np.concatenate([chunks, new_chunks], axis=-3)
+            self.summaries = summaries[..., -self.capacity:, :]
+            self.chunks = chunks[..., -self.capacity:, :, :]
+        self.buffer = combined[..., n_new * stride:, :].copy()
+        return summaries, chunks, n_visible
 
     def read(self) -> tuple[np.ndarray, np.ndarray]:
-        """(summaries (N, ...), chunks (N, C, ...)), oldest chunk first.
+        """(summaries (..., N, d), chunks (..., N, C, d)), oldest chunk first.
 
         Returned arrays are snapshots: later writes never mutate them and
         callers may scribble on them freely.
         """
-        if not self.chunks:  # every row written so far is in the buffer
-            shape = self._row_shape or (0,)
-            dtype = self.buffer[0].dtype if self.buffer else np.float64
-            return (np.zeros((0,) + shape, dtype),
-                    np.zeros((0, self.chunk_size) + shape, dtype))
-        return (np.stack(self.summaries), np.stack(self.chunks))
+        return self.summaries.copy(), self.chunks.copy()

@@ -69,6 +69,12 @@ class ModelConfig:
             raise ContractError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.task not in TASKS:
             raise ContractError(f"task must be one of {TASKS}, got {self.task!r}")
+        for name in ("d_model", "n_heads", "n_layers", "dancer_vocab",
+                     "direction_vocab", "query_vocab", "n_classes", "item_dim"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.mlp_hidden < 0:
+            raise ContractError(f"mlp_hidden must be >= 0, got {self.mlp_hidden}")
         if self.d_model % self.n_heads:
             raise ContractError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
@@ -326,68 +332,22 @@ def _as_rows(tape: GradTape, x: Tensor, d: int):
     return tape.reshape(x, shape), lambda t: tape.reshape(t, x.shape)
 
 
-def _memory_views(mem: ChunkMemory):
-    """Snapshot summaries/chunks rearranged to (batch..., N, d) layout."""
-    summaries, chunks = mem.read()  # (N, ...row), (N, C, ...row)
-    return (np.moveaxis(summaries, 0, -2),
-            np.moveaxis(chunks, (0, 1), (-3, -2)))
-
-
-def _chunk_schedule(buffer_len: int, t_len: int, chunk_size: int,
-                    overlap: int) -> list[int]:
-    """Steps (0-based within this call) whose write freezes a new chunk."""
-    stride = chunk_size - overlap
-    out = []
-    t = chunk_size - buffer_len - 1
-    while t < t_len:
-        if t >= 0:
-            out.append(t)
-        t += stride
-    return out
-
-
 def _hcam_over_sequence(tape, model: Model, mem: ChunkMemory, layer: AttnLayer,
                         x: Tensor, h: Tensor,
                         counter: ScoreCounter | None) -> Tensor:
-    """Recall for every position of h, honoring chunk-freeze causality.
+    """Write x to the layer's memory, then recall for every position of h.
 
-    Chunk contents come from the raw layer inputs x. The write at each step
-    happens before that step's attention, so a position whose write
-    completes a chunk already attends to it. Consecutive positions seeing
-    the same chunk count share one hcam_block call. Every chunk visible to
-    any of them is projected to detail keys and values once, and each call
+    Chunk contents are the raw layer inputs x. mem.write reports how many
+    chunks each position sees: a position whose write completes a chunk
+    already attends to it, and a chunk that a later position evicts stays
+    visible to the positions before it. Consecutive positions seeing the
+    same chunk count share one hcam_block call. Every chunk visible to any
+    of them is projected to detail keys and values once, and each call
     selects its top-k from that projection by chunk offset.
     """
     cfg = model.config
     t_len = x.shape[-2]
-    c = cfg.chunk_size
-
-    old_summ, old_chunks = _memory_views(mem)
-    n0 = old_summ.shape[-2]
-
-    buf = mem.buffer
-    freeze_at = _chunk_schedule(len(buf), t_len, c, cfg.overlap)
-    if freeze_at:
-        if buf:
-            combined = np.concatenate([np.stack(buf, axis=-2), x.data], axis=-2)
-        else:
-            combined = x.data
-        stride = c - cfg.overlap
-        starts = np.arange(len(freeze_at)) * stride
-        idx = starts[:, None] + np.arange(c)[None, :]
-        new_chunks = combined[..., idx, :]
-        new_summ = new_chunks.mean(axis=-2)
-        if n0:
-            all_summ = np.concatenate([old_summ, new_summ], axis=-2)
-            all_chunks = np.concatenate([old_chunks, new_chunks], axis=-3)
-        else:
-            all_summ, all_chunks = new_summ, new_chunks
-    else:
-        all_summ, all_chunks = old_summ, old_chunks
-
-    n_vis = np.full(t_len, n0, dtype=int)
-    for f in freeze_at:
-        n_vis[f:] += 1
+    all_summ, all_chunks, n_vis = mem.write(x.data)
 
     # chunks [lo_first, n_last) cover every call's [lo, n) window
     lo_first = max(0, int(n_vis[0]) - cfg.capacity)
@@ -462,17 +422,13 @@ def _forward(tape: GradTape, model: Model, xs: Tensor, state: StackState,
             h = tape.add(x, att)
         y = _mlp(tape, layer, h)
 
-        # roll the per-layer carry and memory forward by t_len steps
+        # roll the per-layer carry forward by t_len steps
         keep = cfg.span - 1
         if keep > 0:
             rows = list(carry)
             for t in range(max(0, t_len - keep), t_len):
                 rows.append(tape.slice_ax(x, -2, t, t + 1))
             state.recent[li] = rows[-keep:]
-        if cfg.kind == "hcam":
-            mem = state.memories[li]
-            for t in range(t_len):
-                mem.write_step(x.data[..., t, :])
         x = y
     return x
 

@@ -391,7 +391,11 @@ def load_checkpoint(path: str) -> Model:
     if total is None:
         raise CheckpointError("manifest has no blob size line")
 
-    model = Model(ModelConfig(**cfg_kv), seed=0)
+    try:
+        config = ModelConfig(**cfg_kv)
+    except ContractError as e:
+        raise CheckpointError(f"manifest config is invalid: {e}") from None
+    model = Model(config, seed=0)
     if len(manifest) != len(model.params):
         raise ShapeMismatchError(
             f"manifest lists {len(manifest)} parameters, "

@@ -14,7 +14,7 @@ def test_full_chunks_and_empty_buffer():
     for i in range(64):
         m.write_step(np.full(3, float(i)))
     assert m.n_chunks == 4
-    assert len(m.buffer) == 0
+    assert m.buffer.shape[-2] == 0
     s, c = m.read()
     assert s.shape == (4, 3) and c.shape == (4, 16, 3)
 
@@ -24,7 +24,7 @@ def test_partial_buffer_is_not_queryable():
     for i in range(20):
         m.write_step(np.full(2, float(i)))
     assert m.n_chunks == 1
-    assert len(m.buffer) == 4
+    assert m.buffer.shape[-2] == 4
     s, c = m.read()
     assert c.shape == (1, 16, 2)
     assert np.array_equal(c[0, :, 0], np.arange(16.0))
@@ -40,7 +40,7 @@ def test_overlap_trace_from_contract():
     _, c = m.read()
     assert np.array_equal(c[0, :, 0], [1, 2, 3, 4])
     assert np.array_equal(c[1, :, 0], [4, 5, 6, 7])
-    assert len(m.buffer) == 1 and m.buffer[0][0] == 7.0
+    assert np.array_equal(m.buffer[:, 0], [7.0])
 
 
 def test_summaries_are_chunk_means():
@@ -60,10 +60,10 @@ def test_reset_clears_and_keeps_config_idempotently():
     assert m.n_chunks > 0
     m.reset()
     m.reset()
-    assert m.n_chunks == 0 and m.buffer == [] and m.total_writes == 0
+    assert m.n_chunks == 0 and m.buffer.shape[-2] == 0
     assert m.chunk_size == 3 and m.overlap == 1 and m.capacity == 7
     m.write_step(np.array([1.0]))
-    assert len(m.buffer) == 1
+    assert m.buffer.shape[-2] == 1
 
 
 def test_capacity_evicts_oldest():
@@ -115,7 +115,7 @@ def test_empty_read_keeps_written_dtype():
     m = ChunkMemory(chunk_size=2)
     m.write_step(np.zeros((2, 3), dtype=np.float32))  # buffered, not frozen
     s, c = m.read()
-    assert s.shape == (0, 2, 3) and c.shape == (0, 2, 2, 3)
+    assert s.shape == (2, 0, 3) and c.shape == (2, 0, 2, 3)
     assert s.dtype == np.float32 and c.dtype == np.float32
 
 
@@ -143,6 +143,39 @@ def expected_chunks(history, chunk_size, overlap, capacity):
     return out[-capacity:] if len(out) > capacity else out
 
 
+def check_read(m, history) -> None:
+    """m.read() against the reference for everything written so far."""
+    s, ch = m.read()
+    want = expected_chunks(history, m.chunk_size, m.overlap, m.capacity)
+    assert len(ch) == len(want) == len(s) == m.n_chunks
+    for got_ch, want_ch in zip(ch, want):
+        assert np.array_equal(got_ch, want_ch)
+    if len(s):
+        assert np.max(np.abs(s - ch.mean(axis=1))) < 1e-6
+
+
+def check_sequence_write(m, history, rows) -> None:
+    """m.write(rows) against the reference: at every step, how many chunks
+    exist and which ones that step may read after eviction."""
+    c, o, cap = m.chunk_size, m.overlap, m.capacity
+    start = len(history)
+    history.extend(rows)
+    full = expected_chunks(history, c, o, capacity=len(history) + 1)
+    ends = (c - o) * np.arange(len(full)) + c  # a chunk exists once written
+    n_before = int(np.sum(ends <= start))
+    n_ref = np.searchsorted(ends, start + 1 + np.arange(len(rows)), "right")
+    s, ch, n_vis = m.write(rows)
+    assert len(s) == len(ch)
+    assert np.array_equal(n_vis, min(n_before, cap) + n_ref - n_before)
+    for n, n_want in set(zip(n_vis.tolist(), n_ref.tolist())):
+        got, want = ch[max(0, n - cap):n], full[max(0, n_want - cap):n_want]
+        assert len(got) == len(want)
+        for got_ch, want_ch in zip(got, want):
+            assert np.array_equal(got_ch, want_ch)
+    if len(s):
+        assert np.max(np.abs(s - ch.mean(axis=1))) < 1e-6
+
+
 def check_random_trace(seed: int) -> None:
     """One random op sequence checked against the reference model."""
     rng = make_rng(seed)
@@ -154,25 +187,42 @@ def check_random_trace(seed: int) -> None:
     d = int(rng.integers(1, 4))
     for _ in range(int(rng.integers(5, 40))):
         op = rng.random()
-        if op < 0.75:
+        if op < 0.6:
             row = rng.normal(size=d)
             m.write_step(row)
             history.append(row)
+        elif op < 0.75:
+            # often starts on a partial buffer and spans several chunks
+            t_len = int(rng.integers(0, 3 * c + 2))
+            check_sequence_write(m, history, rng.normal(size=(t_len, d)))
         elif op < 0.95:
-            s, ch = m.read()
-            want = expected_chunks(history, c, o, cap)
-            assert len(ch) == len(want) == len(s)
-            for got_ch, want_ch in zip(ch, want):
-                assert np.array_equal(got_ch, want_ch)
-            if len(s):
-                assert np.max(np.abs(s - ch.mean(axis=1))) < 1e-6
+            check_read(m, history)
         else:
             m.reset()
             history = []
-        assert len(m.buffer) < c or (c == 1 and len(m.buffer) == 0)
-        assert len(m.chunks) == len(m.summaries) <= cap
+        assert m.buffer.shape[-2] < c
+        assert m.n_chunks == len(m.summaries) <= cap
 
 
 def test_random_traces_small():
     for seed in range(500):
         check_random_trace(seed)
+
+
+def test_long_trace_with_thousands_of_chunks():
+    # overlap and eviction over ~3000 frozen chunks, mixing single steps
+    # with sequence writes that each freeze up to ~100 chunks
+    rng = make_rng(1)
+    m = ChunkMemory(chunk_size=5, overlap=2, capacity=40)
+    history: list[np.ndarray] = []
+    while len(history) < 9000:
+        if rng.random() < 0.5:
+            for _ in range(int(rng.integers(1, 8))):
+                row = rng.normal(size=3)
+                m.write_step(row)
+                history.append(row)
+        else:
+            t_len = int(rng.integers(1, 300))
+            check_sequence_write(m, history, rng.normal(size=(t_len, 3)))
+        check_read(m, history)
+    assert len(expected_chunks(history, 5, 2, capacity=len(history))) > 2900

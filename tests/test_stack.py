@@ -10,7 +10,6 @@ from chunkmem.stack import (
     Model,
     ModelConfig,
     StackState,
-    _chunk_schedule,
     forward_sequence,
     init_state,
     lstm_cell,
@@ -147,6 +146,12 @@ def test_config_validation():
         ModelConfig(dtype="float16")
     with pytest.raises(ContractError):
         ModelConfig(task="sorting")
+    for bad in (dict(d_model=-64), dict(n_heads=0), dict(n_layers=0),
+                dict(dancer_vocab=0), dict(direction_vocab=0),
+                dict(query_vocab=0), dict(n_classes=0), dict(item_dim=0),
+                dict(mlp_hidden=-5)):
+        with pytest.raises(ContractError):
+            ModelConfig(**bad)
 
 
 def test_mlp_hidden_defaults_to_4x():
@@ -183,28 +188,6 @@ def test_parity_report_mentions_both_kinds():
     hcam_n, trxl_n = (int(line.split()[1]) for line in rep.splitlines())
     d = 32
     assert hcam_n - trxl_n == 1 * (5 * d * d + 2 * d)
-
-
-# ------------------------------------------------ chunk scheduling helpers
-
-def test_chunk_schedule_against_simulation():
-    rng = make_rng(11)
-    for _ in range(200):
-        c = int(rng.integers(1, 7))
-        o = int(rng.integers(0, c))
-        b0 = int(rng.integers(0, c))
-        t_len = int(rng.integers(0, 30))
-        mem = ChunkMemory(c, o, capacity=999)
-        for i in range(b0):
-            mem.write_step(np.zeros(2))
-        assert len(mem.buffer) == b0
-        expected = []
-        for t in range(t_len):
-            before = mem.n_chunks
-            mem.write_step(np.zeros(2))
-            if mem.n_chunks > before:
-                expected.append(t)
-        assert _chunk_schedule(b0, t_len, c, o) == expected
 
 
 # ---------------------------------------------- step vs sequence: recall
@@ -287,17 +270,22 @@ def test_hcam_batched_matches_unbatched_rows():
 
 
 def test_sequence_writes_raw_inputs_to_first_layer_memory():
-    cfg = ModelConfig(kind="hcam", d_model=8, n_heads=2, n_layers=2,
-                      chunk_size=8, top_k=1, local_window=4)
-    model = Model(cfg, seed=0)
-    xs = make_rng(4).normal(size=(40, 8))
-    tape = GradTape()
-    _, state = forward_sequence(tape, model, Tensor(xs))
-    mem = state.memories[0]
-    assert mem.n_chunks == 5
-    for j in range(5):
-        assert np.array_equal(mem.chunks[j], xs[8 * j:8 * j + 8])
-    assert state.memories[1].n_chunks == 5
+    for dtype in ("float64", "float32"):
+        cfg = ModelConfig(kind="hcam", d_model=8, n_heads=2, n_layers=2,
+                          chunk_size=8, top_k=1, local_window=4, dtype=dtype)
+        model = Model(cfg, seed=0)
+        xs = make_rng(4).normal(size=(40, 8)).astype(cfg.np_dtype)
+        tape = GradTape()
+        _, state = forward_sequence(tape, model, Tensor(xs))
+        mem = state.memories[0]
+        assert mem.n_chunks == 5
+        _, chunks = mem.read()
+        for j in range(5):
+            assert np.array_equal(chunks[j], xs[8 * j:8 * j + 8])
+        assert state.memories[1].n_chunks == 5
+        for m in state.memories:  # no float64 creeps into a float32 stack
+            summaries, chunks = m.read()
+            assert summaries.dtype == chunks.dtype == cfg.np_dtype
 
 
 def test_fresh_states_are_independent():

@@ -256,7 +256,12 @@ def test_checkpoint_shape_mismatch(tmp_path):
     (b"config d_model 32\n", b"config d_model 32x\n"),  # not an int
     (b"param head.w 32x2 ", b"param head.w 32xq "),      # not a shape
     (b"param head.w ", b"param head.\xffw "),             # not UTF-8
-], ids=["config_value", "param_shape", "non_utf8"])
+    (b"config d_model 32\n", b"config d_model -64\n"),
+    (b"config n_heads 4\n", b"config n_heads 0\n"),
+    (b"config mlp_hidden 128\n", b"config mlp_hidden -5\n"),
+    (b"config kind hcam\n", b"config kind bogus\n"),
+], ids=["config_value", "param_shape", "non_utf8", "negative_d_model",
+        "zero_heads", "negative_mlp_hidden", "unknown_kind"])
 def test_checkpoint_malformed_manifest(tmp_path, old, new):
     path = _saved(tmp_path)
     raw = path.read_bytes()
