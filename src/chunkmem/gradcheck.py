@@ -222,16 +222,17 @@ def corrupted_backward_is_caught(tol: float = TOL_DEFAULT) -> bool:
 # Finite differences only match the tape where no detached value depends on
 # a perturbed input, so the stack cases stay in regimes where everything
 # detached is a plain constant: one recall layer (its memory holds raw
-# inputs), windowed-only XL, and the LSTM (nothing detached at all).
+# inputs), windowed-only XL, and the LSTM (nothing detached at all). Each
+# stack case builds a real Model with Model.from_params from the watched
+# tensors: every layer parameter is an input, and the task's embeddings and
+# heads, which stack_step never reads, are constants.
 
 
 def _composed_cases(rng):
-    from types import SimpleNamespace
-
     from .attention import (MIN_WINDOWS_FOR_BLOCKS, AttentionParams,
                             HcamParams, hcam_block, local_attention,
                             sinusoidal_table)
-    from .stack import AttnLayer, LstmLayer, ModelConfig, init_state, stack_step
+    from .stack import Model, ModelConfig, init_state, param_specs, stack_step
 
     d, heads = 8, 2
 
@@ -276,78 +277,34 @@ def _composed_cases(rng):
         "wo": proj(),
     }, local_loss))
 
-    def attn_inputs(prefix=""):
-        v = {prefix + "a_g": 1.0 + 0.2 * r(d), prefix + "a_b": 0.2 * r(d),
-             prefix + "wq": proj(), prefix + "wk": proj(),
-             prefix + "wv": proj(), prefix + "wo": proj(),
-             prefix + "m_g": 1.0 + 0.2 * r(d), prefix + "m_b": 0.2 * r(d),
-             prefix + "w1": r(d, 2 * d), prefix + "b1": 0.1 * r(2 * d),
-             prefix + "w2": r(2 * d, d), prefix + "b2": 0.1 * r(d)}
-        return v
+    fills = {"uniform": lambda s: r(*s), "ones": lambda s: 1.0 + 0.2 * r(*s),
+             "zeros": lambda s: 0.1 * r(*s)}
 
-    def attn_layer(v, prefix="", hcam=None):
-        return AttnLayer(
-            attn_ln_g=v[prefix + "a_g"], attn_ln_b=v[prefix + "a_b"],
-            attn=AttentionParams(v[prefix + "wq"], v[prefix + "wk"],
-                                 v[prefix + "wv"], v[prefix + "wo"]),
-            hcam=hcam, mlp_ln_g=v[prefix + "m_g"], mlp_ln_b=v[prefix + "m_b"],
-            w1=v[prefix + "w1"], b1=v[prefix + "b1"], w2=v[prefix + "w2"],
-            b2=v[prefix + "b2"])
+    def stack_case(name, n_steps, **config):
+        cfg = ModelConfig(d_model=d, n_heads=heads, mlp_hidden=2 * d, **config)
+        values = {n: fills[fill](shape)
+                  for n, (shape, fill) in param_specs(cfg).items()}
+        inputs = {n: v for n, v in values.items() if n.startswith("layer")}
+        fixed = {n: Tensor(v) for n, v in values.items() if n not in inputs}
+        xs = r(n_steps, d)
 
-    def stack_loss_over(model_of, xs):
         def loss(tp, v):
-            model = model_of(v)
+            model = Model.from_params(cfg, {**fixed, **v})
             state = init_state(model)
             total = None
-            for t in range(xs.shape[0]):
+            for t in range(n_steps):
                 y = stack_step(tp, model, state, Tensor(xs[t]))
                 s = tp.reduce_sum(tp.tanh(y))
                 total = s if total is None else tp.add(total, s)
             return total
-        return loss
 
-    cfg_h = ModelConfig(kind="hcam", d_model=d, n_layers=1, n_heads=heads,
-                        chunk_size=2, top_k=2, local_window=3)
-    pos_h = sinusoidal_table(cfg_h.span, d)
-    inputs_h = attn_inputs()
-    inputs_h.update({"h_g": 1.0 + 0.2 * r(d), "h_b": 0.2 * r(d),
-                     "w_rel": proj(), "hq": proj(), "hk": proj(),
-                     "hv": proj(), "ho": proj()})
+        cases.append((name, inputs, loss))
 
-    def hcam_model(v):
-        hc = HcamParams(v["h_g"], v["h_b"], v["w_rel"],
-                        AttentionParams(v["hq"], v["hk"], v["hv"], v["ho"]))
-        return SimpleNamespace(config=cfg_h, layers=[attn_layer(v, hcam=hc)],
-                               pos_local=pos_h, pos_chunk=pos2)
-
-    cases.append(("stack_step_hcam", inputs_h,
-                  stack_loss_over(hcam_model, r(7, d))))
-
-    cfg_t = ModelConfig(kind="trxl", d_model=d, n_layers=2, n_heads=heads,
-                        local_window=3, xl_extra_length=0)
-    pos_t = sinusoidal_table(cfg_t.span, d)
-    inputs_t = {**attn_inputs("0."), **attn_inputs("1.")}
-
-    def trxl_model(v):
-        return SimpleNamespace(
-            config=cfg_t, layers=[attn_layer(v, "0."), attn_layer(v, "1.")],
-            pos_local=pos_t, pos_chunk=pos2)
-
-    cases.append(("stack_step_trxl", inputs_t,
-                  stack_loss_over(trxl_model, r(5, d))))
-
-    cfg_l = ModelConfig(kind="lstm", d_model=d, n_layers=2)
-    inputs_l = {"0.wx": r(d, 4 * d), "0.wh": r(d, 4 * d), "0.b": 0.1 * r(4 * d),
-                "1.wx": r(d, 4 * d), "1.wh": r(d, 4 * d), "1.b": 0.1 * r(4 * d)}
-
-    def lstm_model(v):
-        layers = [LstmLayer(v["0.wx"], v["0.wh"], v["0.b"]),
-                  LstmLayer(v["1.wx"], v["1.wh"], v["1.b"])]
-        return SimpleNamespace(config=cfg_l, layers=layers)
-
-    cases.append(("stack_step_lstm", inputs_l,
-                  stack_loss_over(lstm_model, r(4, d))))
-
+    stack_case("stack_step_hcam", 7, kind="hcam", n_layers=1, chunk_size=2,
+               top_k=2, local_window=3)
+    stack_case("stack_step_trxl", 5, kind="trxl", n_layers=2, local_window=3,
+               xl_extra_length=0)
+    stack_case("stack_step_lstm", 4, kind="lstm", n_layers=2)
     return cases
 
 

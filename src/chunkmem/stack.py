@@ -26,15 +26,13 @@ from .attention import (
     NEG_INF,
     ScoreCounter,
     hcam_block,
-    init_attention_params,
-    init_hcam_params,
     local_attention,
     multi_head_attention,
     project_chunks,
     scaled_uniform,
     sinusoidal_table,
 )
-from .errors import ContractError
+from .errors import ContractError, ShapeError
 from .memory import ChunkMemory
 from .rng import make_rng
 from .tensor import GradTape, Tensor
@@ -129,83 +127,132 @@ class LstmLayer:
     b: Tensor
 
 
+_ATTN_WEIGHTS = ("wq", "wk", "wv", "wo")
+
+
+def param_specs(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Every parameter's shape and initial fill by name, in storage order.
+
+    A fill is "uniform" (scaled_uniform with (fan_in, fan_out) = shape),
+    "ones" or "zeros". Model(config, seed) draws the uniform ones in this
+    order, and checkpoints store parameters in it.
+    """
+    d, hid = config.d_model, config.mlp_hidden
+
+    def u(*shape):
+        return shape, "uniform"
+
+    def ones(n):
+        return (n,), "ones"
+
+    def zeros(n):
+        return (n,), "zeros"
+
+    if config.task == "ballet":
+        specs = {
+            "emb.dancer": u(config.dancer_vocab, d),
+            "emb.direction": u(config.direction_vocab, d),
+            "emb.query": u(config.query_vocab, d),
+            "head.w": u(d, config.n_classes),
+            "head.b": zeros(config.n_classes),
+            "recon.dancer.w": u(d, config.dancer_vocab),
+            "recon.dancer.b": zeros(config.dancer_vocab),
+            "recon.direction.w": u(d, config.direction_vocab),
+            "recon.direction.b": zeros(config.direction_vocab),
+        }
+    else:
+        specs = {"emb.item": u(config.item_dim, d), "proj.w": u(d, d),
+                 "proj.b": zeros(d)}
+    for li in range(config.n_layers):
+        p = f"layer{li}."
+        if config.kind == "lstm":
+            specs.update({p + "wx": u(d, 4 * d), p + "wh": u(d, 4 * d),
+                          p + "b": zeros(4 * d)})
+            continue
+        specs.update({p + "attn." + w: u(d, d) for w in _ATTN_WEIGHTS})
+        if config.kind == "hcam":
+            specs.update({p + "hcam.ln.g": ones(d), p + "hcam.ln.b": zeros(d),
+                          p + "hcam.w_rel": u(d, d)})
+            specs.update({p + "hcam.mha." + w: u(d, d) for w in _ATTN_WEIGHTS})
+        specs.update({
+            p + "attn_ln.g": ones(d), p + "attn_ln.b": zeros(d),
+            p + "mlp_ln.g": ones(d), p + "mlp_ln.b": zeros(d),
+            p + "mlp.w1": u(d, hid), p + "mlp.b1": zeros(hid),
+            p + "mlp.w2": u(hid, d), p + "mlp.b2": zeros(d),
+        })
+    return specs
+
+
 class Model:
     """Parameter store plus fixed position tables for one configuration."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
+        """Fresh parameters: uniforms drawn from the seed's stream in
+        param_specs order, ones and zeros as listed."""
+        rng = make_rng(seed)
+        dt = config.np_dtype
+        self._adopt(config, {
+            name: scaled_uniform(rng, *shape, dtype=dt) if fill == "uniform"
+            else np.ones(shape, dt) if fill == "ones" else np.zeros(shape, dt)
+            for name, (shape, fill) in param_specs(config).items()})
+
+    @classmethod
+    def from_params(cls, config: ModelConfig, params: dict) -> Model:
+        """The model whose parameters are the given values, by name.
+
+        Tensors are used as given, not copied, so gradients taken with
+        respect to them reach the model; arrays are wrapped. Every name of
+        param_specs(config) must appear with its shape and the config's
+        dtype, and no other name may.
+        """
+        model = cls.__new__(cls)
+        model._adopt(config, params)
+        return model
+
+    def _adopt(self, config: ModelConfig, params: dict) -> None:
+        specs = param_specs(config)
+        missing = [n for n in specs if n not in params]
+        extra = [n for n in params if n not in specs]
+        if missing or extra:
+            raise ContractError(
+                f"parameters missing {missing}, unexpected {extra}")
+        dt = config.np_dtype
         self.config = config
         self.params: dict[str, Tensor] = {}
+        for name, (shape, _fill) in specs.items():
+            t = params[name]
+            t = t if isinstance(t, Tensor) else Tensor(t)
+            if t.shape != shape:
+                raise ShapeError(f"parameter {name!r} has shape {t.shape}, "
+                                 f"the config needs {shape}")
+            if t.dtype != dt:
+                raise ContractError(f"parameter {name!r} is {t.dtype}, "
+                                    f"the config needs {config.dtype}")
+            self.params[name] = t
+
+        def get(prefix, *names):
+            return [self.params[prefix + n] for n in names]
+
+        def attention(prefix):
+            return AttentionParams(*get(prefix, *_ATTN_WEIGHTS))
+
         self.layers: list = []
-        rng = make_rng(seed)
-        self._build(rng)
-        dt = config.np_dtype
+        for li in range(config.n_layers):
+            p = f"layer{li}."
+            if config.kind == "lstm":
+                self.layers.append(LstmLayer(*get(p, "wx", "wh", "b")))
+                continue
+            hcam = None
+            if config.kind == "hcam":
+                hcam = HcamParams(*get(p + "hcam.", "ln.g", "ln.b", "w_rel"),
+                                  attention(p + "hcam.mha."))
+            self.layers.append(AttnLayer(
+                *get(p, "attn_ln.g", "attn_ln.b"), attention(p + "attn."), hcam,
+                *get(p, "mlp_ln.g", "mlp_ln.b", "mlp.w1", "mlp.b1", "mlp.w2",
+                     "mlp.b2")))
         self.pos_local = sinusoidal_table(config.span, config.d_model, dtype=dt)
         self.pos_chunk = sinusoidal_table(config.chunk_size, config.d_model,
                                           dtype=dt)
-
-    def _reg(self, name: str, arr) -> Tensor:
-        t = Tensor(arr)
-        self.params[name] = t
-        return t
-
-    def _adopt(self, prefix: str, attn: AttentionParams) -> None:
-        for name in ("wq", "wk", "wv", "wo"):
-            self.params[prefix + name] = getattr(attn, name)
-
-    def _build(self, rng):
-        cfg = self.config
-        d, dt = cfg.d_model, cfg.np_dtype
-
-        if cfg.task == "ballet":
-            self._reg("emb.dancer", scaled_uniform(rng, cfg.dancer_vocab, d, dtype=dt))
-            self._reg("emb.direction",
-                      scaled_uniform(rng, cfg.direction_vocab, d, dtype=dt))
-            self._reg("emb.query", scaled_uniform(rng, cfg.query_vocab, d, dtype=dt))
-            self._reg("head.w", scaled_uniform(rng, d, cfg.n_classes, dtype=dt))
-            self._reg("head.b", np.zeros(cfg.n_classes, dtype=dt))
-            self._reg("recon.dancer.w",
-                      scaled_uniform(rng, d, cfg.dancer_vocab, dtype=dt))
-            self._reg("recon.dancer.b", np.zeros(cfg.dancer_vocab, dtype=dt))
-            self._reg("recon.direction.w",
-                      scaled_uniform(rng, d, cfg.direction_vocab, dtype=dt))
-            self._reg("recon.direction.b", np.zeros(cfg.direction_vocab, dtype=dt))
-        else:
-            self._reg("emb.item", scaled_uniform(rng, cfg.item_dim, d, dtype=dt))
-            self._reg("proj.w", scaled_uniform(rng, d, d, dtype=dt))
-            self._reg("proj.b", np.zeros(d, dtype=dt))
-
-        for li in range(cfg.n_layers):
-            p = f"layer{li}."
-            if cfg.kind == "lstm":
-                self.layers.append(LstmLayer(
-                    wx=self._reg(p + "wx", scaled_uniform(rng, d, 4 * d, dtype=dt)),
-                    wh=self._reg(p + "wh", scaled_uniform(rng, d, 4 * d, dtype=dt)),
-                    b=self._reg(p + "b", np.zeros(4 * d, dtype=dt)),
-                ))
-                continue
-            attn = init_attention_params(rng, d, dtype=dt)
-            self._adopt(p + "attn.", attn)
-            hcam = None
-            if cfg.kind == "hcam":
-                hcam = init_hcam_params(rng, d, dtype=dt)
-                self.params[p + "hcam.ln.g"] = hcam.ln_gain
-                self.params[p + "hcam.ln.b"] = hcam.ln_bias
-                self.params[p + "hcam.w_rel"] = hcam.w_rel
-                self._adopt(p + "hcam.mha.", hcam.mha)
-            self.layers.append(AttnLayer(
-                attn_ln_g=self._reg(p + "attn_ln.g", np.ones(d, dtype=dt)),
-                attn_ln_b=self._reg(p + "attn_ln.b", np.zeros(d, dtype=dt)),
-                attn=attn,
-                hcam=hcam,
-                mlp_ln_g=self._reg(p + "mlp_ln.g", np.ones(d, dtype=dt)),
-                mlp_ln_b=self._reg(p + "mlp_ln.b", np.zeros(d, dtype=dt)),
-                w1=self._reg(p + "mlp.w1",
-                             scaled_uniform(rng, d, cfg.mlp_hidden, dtype=dt)),
-                b1=self._reg(p + "mlp.b1", np.zeros(cfg.mlp_hidden, dtype=dt)),
-                w2=self._reg(p + "mlp.w2",
-                             scaled_uniform(rng, cfg.mlp_hidden, d, dtype=dt)),
-                b2=self._reg(p + "mlp.b2", np.zeros(d, dtype=dt)),
-            ))
 
     def watch_all(self, tape: GradTape) -> None:
         for t in self.params.values():
@@ -232,8 +279,10 @@ def parity_report(d_model: int = 64, n_layers: int = 2, n_heads: int = 4) -> str
 
 @dataclass
 class StackState:
-    """Per-episode recurrent state. Bound to the tape that built it."""
+    """Per-episode recurrent state. Bound to the tape that built it and to
+    one batch shape, which the first input sets when it is None."""
 
+    batch_shape: tuple | None = None
     memories: list[ChunkMemory] = field(default_factory=list)
     recent: list[list[Tensor]] = field(default_factory=list)  # raw layer inputs
     lstm_h: list[Tensor] = field(default_factory=list)
@@ -241,8 +290,13 @@ class StackState:
 
 
 def init_state(model: Model, batch_shape: tuple = ()) -> StackState:
+    """A fresh state for inputs with leading axes batch_shape. () and (1,)
+    leave the batch shape to the first input, so one episode may be fed as
+    (d,) steps or as a (T, d) sequence."""
     cfg = model.config
-    state = StackState()
+    batch_shape = tuple(batch_shape)
+    state = StackState(
+        batch_shape=None if batch_shape in ((), (1,)) else batch_shape)
     if cfg.kind == "hcam":
         state.memories = [
             ChunkMemory(cfg.chunk_size, cfg.overlap, cfg.capacity)
@@ -350,7 +404,7 @@ def _hcam_over_sequence(tape, model: Model, mem: ChunkMemory, layer: AttnLayer,
     all_summ, all_chunks, n_vis = mem.write(x.data)
 
     # chunks [lo_first, n_last) cover every call's [lo, n) window
-    lo_first = max(0, int(n_vis[0]) - cfg.capacity)
+    lo_first = max(0, int(n_vis[0]) - mem.capacity)
     if n_vis[-1]:
         keys, values = project_chunks(
             tape, all_chunks[..., lo_first:n_vis[-1], :, :], layer.hcam,
@@ -367,7 +421,7 @@ def _hcam_over_sequence(tape, model: Model, mem: ChunkMemory, layer: AttnLayer,
         if n == 0:
             segs.append(seg)
         else:
-            lo = max(0, n - cfg.capacity)
+            lo = max(0, n - mem.capacity)
             segs.append(hcam_block(
                 tape, seg, all_summ[..., lo:n, :], all_chunks[..., lo:n, :, :],
                 layer.hcam, cfg.n_heads, cfg.top_k,
@@ -383,6 +437,11 @@ def _forward(tape: GradTape, model: Model, xs: Tensor, state: StackState,
     cfg = model.config
     t_len = xs.shape[-2]
     batch_shape = xs.shape[:-2]
+    if state.batch_shape is None:
+        state.batch_shape = batch_shape
+    elif batch_shape != state.batch_shape:
+        raise ShapeError(f"input batch shape {batch_shape} != the state's "
+                         f"{state.batch_shape}")
 
     if cfg.kind == "lstm":
         lead = batch_shape if batch_shape else (1,)

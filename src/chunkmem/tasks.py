@@ -19,10 +19,13 @@ import json
 
 import numpy as np
 
-from .attention import hcam_block, local_attention
+# Nothing here calls these two; perfbench's tracer wraps them in this module
+# as well as in stack, so they stay importable from here.
+from .attention import hcam_block, local_attention  # noqa: F401
 from .errors import ContractError
+from .memory import ChunkMemory
 from .rng import episode_rng, make_rng
-from .stack import Model, _mlp
+from .stack import Model, forward_sequence, init_state
 from .tensor import GradTape, Tensor
 
 DANCE_NAMES = [
@@ -243,10 +246,11 @@ def pai_forward(tape: GradTape, model: Model, pairs, probe,
                 choices, counter=None) -> Tensor:
     """Choice logits for stored pairs, a probe item, and two choices.
 
-    The embedded pairs are the chunk memory, identical at every layer, and
-    nothing is written during the forward pass. The probe runs through the
-    stack as a one-step sequence; its mean-pooled output is projected and
-    dotted with each embedded choice.
+    Every layer's memory starts out holding the embedded pairs, one
+    two-row chunk per pair. The probe then runs through the stack as a
+    one-step sequence, whose row waits in each memory's buffer without
+    freezing a chunk, so recall reads exactly the pairs. The probe's
+    mean-pooled output is projected and dotted with each embedded choice.
 
     Accepts one episode's arrays or batches with leading dims.
     """
@@ -259,18 +263,14 @@ def pai_forward(tape: GradTape, model: Model, pairs, probe,
             f"item width {np.asarray(probe).shape[-1]} != "
             f"embedding rows {emb.shape[0]}")
 
-    chunks = np.asarray(pairs) @ emb.data  # memory contents: constants
-    summaries = chunks.mean(axis=-2)
-
+    rows = np.asarray(pairs) @ emb.data  # memory contents: constants
+    *lead, n_pairs, _, d = rows.shape
     x = tape.matmul(Tensor(np.asarray(probe)[..., None, :]), emb)
-    for layer in model.layers:
-        normed = tape.layer_norm(x, layer.attn_ln_g, layer.attn_ln_b)
-        att = local_attention(tape, normed, cfg.local_window, layer.attn,
-                              cfg.n_heads, pos_table=model.pos_local)
-        h = tape.add(x, att)
-        h = hcam_block(tape, h, summaries, chunks, layer.hcam, cfg.n_heads,
-                       cfg.top_k, pos_table=model.pos_chunk, counter=counter)
-        x = _mlp(tape, layer, h)
+    state = init_state(model, x.shape[:-2])
+    state.memories = [ChunkMemory(2, capacity=n_pairs) for _ in model.layers]
+    for mem in state.memories:
+        mem.write(rows.reshape(*lead, 2 * n_pairs, d))
+    x, _ = forward_sequence(tape, model, x, state, counter)
 
     pooled = tape.mean_pool(x, axis=-2)
     pooled = tape.reshape(pooled, pooled.shape[:-1] + (1, cfg.d_model))

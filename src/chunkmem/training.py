@@ -7,7 +7,9 @@ aborts with NonFiniteLossError the moment the loss stops being finite.
 
 Checkpoints are a single file: a text manifest (schema version, model
 configuration, parameter names/shapes/byte offsets) followed by one blank
-line and the little-endian float32 parameter blob.
+line and the little-endian float32 parameter blob. Loading checks the
+manifest against stack.param_specs for its configuration and hands the
+stored values to Model.from_params; no random model is built.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     VersionMismatchError,
 )
 from .optim import Adam
-from .stack import KINDS, Model, ModelConfig, forward_sequence
+from .stack import Model, ModelConfig, forward_sequence, param_specs
 from .tasks import (
     ballet_batch,
     ballet_logits,
@@ -395,16 +397,20 @@ def load_checkpoint(path: str) -> Model:
         config = ModelConfig(**cfg_kv)
     except ContractError as e:
         raise CheckpointError(f"manifest config is invalid: {e}") from None
-    model = Model(config, seed=0)
-    if len(manifest) != len(model.params):
+    specs = param_specs(config)
+    if len(manifest) != len(specs):
         raise ShapeMismatchError(
             f"manifest lists {len(manifest)} parameters, "
-            f"model has {len(model.params)}")
+            f"model has {len(specs)}")
+    seen = set()
     offset = 0  # bytes
     for name, shape, off in manifest:
-        if name not in model.params:
+        if name not in specs:
             raise ShapeMismatchError(f"manifest names unknown parameter {name!r}")
-        expected = model.params[name].data.shape
+        if name in seen:
+            raise ShapeMismatchError(f"manifest lists parameter {name!r} twice")
+        seen.add(name)
+        expected = specs[name][0]
         if shape != expected:
             raise ShapeMismatchError(
                 f"parameter {name!r} stored as {shape}, model wants {expected}")
@@ -424,10 +430,9 @@ def load_checkpoint(path: str) -> Model:
             f"{len(blob) - total} trailing bytes after the blob")
 
     values = np.frombuffer(blob, dtype="<f4", count=total // 4)
-    pos = 0
-    for name, shape, _off in manifest:
+    params = {}
+    for name, shape, off in manifest:
         n = int(np.prod(shape, dtype=np.int64))
-        arr = values[pos:pos + n].reshape(shape)
-        model.params[name].data[...] = arr.astype(model.config.np_dtype)
-        pos += n
-    return model
+        params[name] = values[off // 4:off // 4 + n].reshape(shape).astype(
+            config.np_dtype)
+    return Model.from_params(config, params)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from chunkmem.attention import hcam_block, local_attention
-from chunkmem.errors import ContractError
+from chunkmem.errors import ContractError, ShapeError
 from chunkmem.rng import make_rng
 from chunkmem.stack import (
+    KINDS,
     Model,
     ModelConfig,
     StackState,
@@ -170,6 +171,33 @@ def test_model_build_deterministic():
                               c.params["layer0.attn.wq"].data)
 
 
+def test_from_params_adopts_tensors():
+    cfg = ModelConfig(kind="hcam", d_model=8, n_heads=2, n_layers=2)
+    model = Model(cfg, seed=1)
+    again = Model.from_params(cfg, dict(reversed(model.params.items())))
+    assert list(again.params) == list(model.params)
+    assert all(again.params[k] is t for k, t in model.params.items())
+    assert again.layers[1].hcam.mha.wk is model.params["layer1.hcam.mha.wk"]
+    assert again.layers[0].w2 is model.params["layer0.mlp.w2"]
+    xs = make_rng(2).normal(size=(9, 8))
+    assert np.array_equal(run_sequence(model, xs), run_sequence(again, xs))
+
+
+def test_from_params_rejects_a_bad_table():
+    cfg = ModelConfig(kind="lstm", d_model=8, n_heads=2, n_layers=1)
+    good = {k: t.data for k, t in Model(cfg, seed=0).params.items()}
+    missing = dict(good)
+    del missing["layer0.wh"]
+    with pytest.raises(ContractError, match="layer0.wh"):
+        Model.from_params(cfg, missing)
+    with pytest.raises(ContractError, match="layer1.wx"):
+        Model.from_params(cfg, {**good, "layer1.wx": good["layer0.wx"]})
+    with pytest.raises(ShapeError, match="layer0.b"):
+        Model.from_params(cfg, {**good, "layer0.b": np.zeros(8)})
+    with pytest.raises(ContractError, match="float32"):
+        Model.from_params(cfg, {**good, "head.b": np.zeros(8, np.float32)})
+
+
 def test_parameter_counts_match_formula():
     d, hid, ncls = 16, 64, 8
     per_attn = 2 * d + 4 * d * d + 2 * d + d * hid + hid + hid * d + d
@@ -307,6 +335,35 @@ def test_stack_step_rejects_wrong_width():
     state = init_state(model)
     with pytest.raises(ContractError):
         stack_step(tape, model, state, Tensor(np.zeros(7)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_batch_shape_disagreeing_with_state_raises(kind):
+    cfg = ModelConfig(kind=kind, d_model=8, n_heads=2, n_layers=2,
+                      chunk_size=2, local_window=3, xl_extra_length=2)
+    model = Model(cfg, seed=0)
+    rows = make_rng(17).normal(size=(6, 8))
+    tape = GradTape()
+    state = init_state(model)
+    for t in range(3):
+        stack_step(tape, model, state, Tensor(rows[t].reshape(1, 1, 8)))
+    for bad in (rows[3].reshape(1, 8), np.stack([rows[3:4], rows[4:5]])):
+        with pytest.raises(ShapeError):
+            stack_step(tape, model, state, Tensor(bad))
+    with pytest.raises(ShapeError):
+        forward_sequence(tape, model, Tensor(rows[3:]), state)
+    # the state is untouched by a rejected input and the episode goes on
+    y = stack_step(tape, model, state, Tensor(rows[3].reshape(1, 1, 8)))
+    assert np.array_equal(y.data.reshape(8), run_steps(model, rows[:4])[3])
+
+    batched = init_state(model, (2,))
+    with pytest.raises(ShapeError):
+        forward_sequence(tape, model, Tensor(rows), batched)
+    # () and (1,) leave the batch shape to the first input
+    for lead in ((), (1,)):
+        y, _ = forward_sequence(tape, model, Tensor(rows),
+                                init_state(model, lead))
+        assert np.array_equal(y.data, run_sequence(model, rows))
 
 
 # ------------------------------------------------------- XL baseline layers

@@ -1,5 +1,7 @@
 """Training loop, metrics, evaluation, and checkpoint contracts."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from chunkmem.errors import (
     TruncatedBlobError,
     VersionMismatchError,
 )
-from chunkmem.stack import forward_sequence
+from chunkmem.stack import KINDS, TASKS, Model, ModelConfig, forward_sequence
 from chunkmem.tasks import ballet_batch, ballet_logits, encode_ballet_tokens
 from chunkmem.tensor import GradTape
 from chunkmem.training import (
@@ -224,6 +226,70 @@ def test_zero_step_train_writes_loadable_checkpoint(tmp_path):
     for k, p in model.params.items():
         assert np.array_equal(p.data.astype(np.float32),
                               loaded.params[k].data)
+
+
+# sha256 prefixes of save_checkpoint(Model(config, seed=0)) at d_model 16,
+# 2 heads, 2 layers: pins parameter names, order, shapes and RNG draw order
+SEED0_CHECKPOINTS = {
+    ("hcam", "ballet", "float32"): "9d43e83bf4c80f4b",
+    ("hcam", "ballet", "float64"): "d712fb2c12b1b732",
+    ("hcam", "pai", "float32"): "8d61dd6ac9ea10fe",
+    ("hcam", "pai", "float64"): "fdbf87d267e493e3",
+    ("trxl", "ballet", "float32"): "9d7200f6575fc028",
+    ("trxl", "ballet", "float64"): "13c3dddc78540901",
+    ("trxl", "pai", "float32"): "fbe591b9f44ea3a2",
+    ("trxl", "pai", "float64"): "0b559c90b5ccedd4",
+    ("trxl_topk", "ballet", "float32"): "437929f1adc50083",
+    ("trxl_topk", "ballet", "float64"): "04437dd2d79a6299",
+    ("trxl_topk", "pai", "float32"): "3c704d27be3105b5",
+    ("trxl_topk", "pai", "float64"): "4f2b7796b751f5db",
+    ("lstm", "ballet", "float32"): "420411c4514d66de",
+    ("lstm", "ballet", "float64"): "721e329cf557d80f",
+    ("lstm", "pai", "float32"): "a6c345c817e99007",
+    ("lstm", "pai", "float64"): "b64df9e02bb43110",
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("task", TASKS)
+@pytest.mark.parametrize("dtype", ("float32", "float64"))
+def test_seed0_checkpoint_bytes_are_pinned(tmp_path, kind, task, dtype):
+    cfg = ModelConfig(kind=kind, task=task, dtype=dtype, d_model=16,
+                      n_heads=2, n_layers=2)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), Model(cfg, seed=0))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    assert digest == SEED0_CHECKPOINTS[(kind, task, dtype)]
+    save_checkpoint(str(tmp_path / "again.ckpt"), load_checkpoint(str(path)))
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_bit_flips_and_truncations_end_in_checkpoint_error(tmp_path):
+    cfg = ModelConfig(kind="hcam", d_model=4, n_heads=1, n_layers=1)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), Model(cfg, seed=0))
+    raw = path.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+
+    def outcome(data):
+        bad.write_bytes(data)
+        try:
+            load_checkpoint(str(bad))
+        except CheckpointError:
+            return "rejected"
+        return "loaded"
+
+    lines = raw.split(b"\n")
+    for i in range(raw.index(b"\n\n") + 2):
+        line = lines[raw.count(b"\n", 0, i)]
+        for bit in (0, 3, 6):
+            data = bytearray(raw)
+            data[i] ^= 1 << bit
+            # a flip may turn a config value into another valid one
+            # (top_k 2 -> 3); anywhere else in the manifest it must fail
+            if outcome(bytes(data)) == "loaded":
+                assert line.startswith(b"config "), (i, bit, line)
+    assert all(outcome(raw[:n]) == "rejected" for n in range(len(raw)))
 
 
 def _saved(tmp_path):
