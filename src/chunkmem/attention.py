@@ -345,6 +345,9 @@ def project_chunks(
     *lead, n, c, d = chunks.shape
     nl = len(lead)
     if pos_table is not None:
+        if pos_table.shape[0] < c:
+            raise ShapeError(f"position table has {pos_table.shape[0]} rows, "
+                             f"chunks have {c}")
         chunks = chunks + pos_table[:c]
     flat = Tensor(chunks.reshape(tuple(lead) + (n * c, d)))
 
@@ -367,7 +370,7 @@ def hcam_block(
     top_k: int,
     pos_table: np.ndarray | None = None,
     counter: ScoreCounter | None = None,
-    projected: tuple[Tensor, Tensor, int] | None = None,
+    visible: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Tensor:
     """Hierarchical recall: score summaries, attend inside top-k chunks.
 
@@ -375,41 +378,87 @@ def hcam_block(
     (..., N, C, d) come from memory and are gradient-isolated. Each query
     row picks its own top-k chunks from the relevance softmax; the selected
     chunks' detail-attention outputs, weighted by their unrenormalized
-    relevance, are summed and added to x. With no complete chunks the block
-    is the identity.
+    relevance, are summed and added to x. A row that sees no chunk passes
+    through unchanged.
 
-    projected = (keys, values, first) reuses project_chunks output for a
-    larger run of chunks, of which chunks[..., i, :, :] is entry first + i;
-    a caller recalling several times over overlapping chunks projects each
-    chunk once that way. Without it the block projects chunks itself.
+    visible = (lo, hi), two length-q integer arrays, lets query row t see
+    only chunks [lo[t], hi[t]); None lets every row see all N. Each run of
+    rows with equal bounds is scored and selects on its own. Selection
+    runs first for every run, then only the chunks some row picked are
+    projected to detail keys and values, once, so a read costs k chunk
+    projections per query rather than N. When every chunk in view was
+    picked, the projection reads the contiguous slice of chunks in place.
     """
     if isinstance(summaries, Tensor):
         summaries = summaries.data
     if isinstance(chunks, Tensor):
         chunks = chunks.data
-    if summaries.shape[-2] == 0:
+    chunks = np.asarray(chunks)
+    *lead, q, d = x.shape
+    n = summaries.shape[-2]
+    if visible is None:
+        bounds = [(0, n)] * q
+    else:
+        lo, hi = (np.asarray(v) for v in visible)
+        if lo.shape != (q,) or hi.shape != (q,):
+            raise ShapeError(f"visible bounds need shape ({q},), got "
+                             f"{lo.shape} and {hi.shape}")
+        bounds = list(zip(lo.tolist(), hi.tolist()))
+        if any(not 0 <= a <= b <= n for a, b in bounds):
+            raise ContractError(f"visible bounds must satisfy "
+                                f"0 <= lo <= hi <= {n}")
+
+    # runs of rows with equal bounds: (first row, end row, lo, hi)
+    starts = [t for t in range(q) if t == 0 or bounds[t] != bounds[t - 1]]
+    runs = [(ts, te, *bounds[ts]) for ts, te in zip(starts, starts[1:] + [q])]
+    if all(a == b for _ts, _te, a, b in runs):
         return x
 
-    chunks = np.asarray(chunks)
-    c, d = chunks.shape[-2:]
-    dh = d // n_heads
-    normed = tape.layer_norm(x, params.ln_gain, params.ln_bias)
-    rel = chunk_relevance(tape, normed, Tensor(summaries), params.w_rel, counter)
-    sel = top_k_select(rel.data, top_k)  # (..., q, k')
-    kk = sel.shape[-1]
-    *lead, q, _ = x.shape
-    nl = len(lead)
+    # phase 1: relevance and top-k for every run
+    picks = []
+    for ts, te, a, b in runs:
+        seg = x if te - ts == q else tape.slice_ax(x, -2, ts, te)
+        if a == b:
+            picks.append((seg, None, None, None, a))
+            continue
+        normed = tape.layer_norm(seg, params.ln_gain, params.ln_bias)
+        rel = chunk_relevance(tape, normed, Tensor(summaries[..., a:b, :]),
+                              params.w_rel, counter)
+        picks.append((seg, normed, rel, top_k_select(rel.data, top_k), a))
 
-    if projected is None:
-        keys, values = project_chunks(tape, chunks, params, n_heads,
-                                      pos_table)
-        first = 0
-    else:
-        keys, values, first = projected
-    sel_flat = sel.reshape(tuple(lead) + (q * kk,)) + first
+    # phase 2: project each chunk some row picked, once
+    first = min(a for _ts, _te, a, b in runs if a < b)
+    last = max(b for _ts, _te, _a, b in runs)
+    hit = np.zeros(last - first, dtype=bool)
+    for _seg, _normed, _rel, sel, a in picks:
+        if sel is not None:
+            hit[sel.reshape(-1) + (a - first)] = True
+    picked = (chunks[..., first:last, :, :] if hit.all()
+              else chunks[..., np.flatnonzero(hit) + first, :, :])
+    row_of = np.cumsum(hit) - 1  # chunk first + i is row row_of[i] of picked
+    keys, values = project_chunks(tape, picked, params, n_heads, pos_table)
+
+    # detail attention inside each run's selected chunks
+    outs = [seg if sel is None else _recall_detail(
+                tape, seg, normed, rel, sel, row_of[sel + (a - first)], keys,
+                values, params, n_heads, counter)
+            for seg, normed, rel, sel, a in picks]
+    return outs[0] if len(outs) == 1 else tape.concat(outs, axis=-2)
+
+
+def _recall_detail(tape, x, normed, rel, sel, rows, keys, values, params,
+                   n_heads, counter) -> Tensor:
+    """x plus the relevance-weighted detail attention of each query row of
+    normed inside its selected chunks. sel (..., q, k') indexes them along
+    rel's chunk axis, rows along the chunk axis of keys and values."""
+    *lead, q, d = x.shape
+    nl = len(lead)
+    kk = sel.shape[-1]
+    c, dh = keys.shape[-2:]
     gshape = (*lead, q, kk, n_heads, c, dh)
-    kh = tape.reshape(tape.take_rows(keys, sel_flat), gshape)
-    vh = tape.reshape(tape.take_rows(values, sel_flat), gshape)
+    rows_flat = rows.reshape(tuple(lead) + (q * kk,))
+    kh = tape.reshape(tape.take_rows(keys, rows_flat), gshape)
+    vh = tape.reshape(tape.take_rows(values, rows_flat), gshape)
 
     qh = _split_heads(tape, tape.matmul(normed, params.mha.wq), n_heads)
     qh = tape.transpose(qh, tuple(range(nl)) + (nl + 1, nl, nl + 2))

@@ -4,7 +4,8 @@ The cost model counts score computations as (query, key) pairs. For one
 query over N stored chunks of C timesteps each, chunked recall scores N
 summaries plus the k selected chunks' timesteps (N + k*C); dense attention
 scores every stored timestep (N*C). The instrumented counters must hit
-those numbers exactly; wall times are medians over repeated forwards.
+those numbers exactly; wall times are medians over repeated forwards,
+each timed after as many untimed ones.
 """
 
 from __future__ import annotations
@@ -86,6 +87,8 @@ def run_bench(n_chunks: int = 32, chunk_size: int = 8, top_k: int = 2,
                          counter=dc)
 
     def median_ms(fn):
+        for _ in range(trials):  # untimed: BLAS threads and caches start here
+            fn()
         times = []
         for _ in range(trials):
             t0 = perf_counter()

@@ -244,22 +244,32 @@ def _composed_cases(rng):
 
     cases = []
 
-    mem_chunks = r(3, 2, d)
-    mem_summ = mem_chunks.mean(axis=1)
     pos2 = sinusoidal_table(2, d)
 
-    def hcam_loss(tp, v):
-        params = HcamParams(v["ln_g"], v["ln_b"], v["w_rel"],
-                            AttentionParams(v["wq"], v["wk"], v["wv"], v["wo"]))
-        out = hcam_block(tp, v["x"], mem_summ, mem_chunks, params, heads, 2,
-                         pos_table=pos2)
-        return tp.reduce_sum(tp.tanh(out))
+    def hcam_case(name, mem_chunks, n_rows, top_k, visible=None):
+        mem_summ = mem_chunks.mean(axis=1)
 
-    cases.append(("hcam_block", {
-        "x": r(4, d), "ln_g": 1.0 + 0.2 * r(d), "ln_b": 0.2 * r(d),
-        "w_rel": proj(), "wq": proj(), "wk": proj(), "wv": proj(),
-        "wo": proj(),
-    }, hcam_loss))
+        def hcam_loss(tp, v):
+            params = HcamParams(
+                v["ln_g"], v["ln_b"], v["w_rel"],
+                AttentionParams(v["wq"], v["wk"], v["wv"], v["wo"]))
+            out = hcam_block(tp, v["x"], mem_summ, mem_chunks, params, heads,
+                             top_k, pos_table=pos2, visible=visible)
+            return tp.reduce_sum(tp.tanh(out))
+
+        cases.append((name, {
+            "x": r(n_rows, d), "ln_g": 1.0 + 0.2 * r(d), "ln_b": 0.2 * r(d),
+            "w_rel": proj(), "wq": proj(), "wk": proj(), "wv": proj(),
+            "wo": proj(),
+        }, hcam_loss))
+
+    hcam_case("hcam_block", r(3, 2, d), 4, 2)
+    # one query projects its one picked chunk of five
+    hcam_case("hcam_block_sparse", r(5, 2, d), 1, 1)
+    # runs of rows with their own chunk windows, one of them empty; at
+    # most four distinct picks, so a gathered subset of the five projects
+    hcam_case("hcam_block_visible", r(5, 2, d), 5, 1,
+              visible=(np.array([0, 0, 1, 1, 2]), np.array([0, 2, 3, 3, 5])))
 
     # long enough that local_attention scores blocks, with carried rows
     win, carry = 3, 2

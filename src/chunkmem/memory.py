@@ -9,9 +9,15 @@ the oldest chunk first.
 
 Contents are kept as arrays in the layout recall reads, with any leading
 batch axes of the written rows first: summaries (..., N, d), chunks
-(..., N, C, d) and the partial buffer (..., b, d). They are sized by what
-has been written, not by capacity. write takes a whole (..., T, d)
-sequence and freezes every chunk it completes with one gather.
+(..., N, C, d) and the partial buffer (..., b, d). write takes a whole
+(..., T, d) sequence and freezes every chunk it completes with one gather.
+
+The stored chunks sit in a window [start, end) of arrays with free slots
+after it. A freeze writes into the free slots and an eviction moves start,
+so neither copies the chunks already stored; only when the slots run out
+are the live chunks moved into fresh arrays with as many free slots as
+live chunks. A freeze then costs O(C*d) amortised, however many chunks
+are stored.
 """
 
 from __future__ import annotations
@@ -20,6 +26,15 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 from .tensor import Tensor
+
+
+def _in_slots(live: np.ndarray, axis: int, slots: int) -> np.ndarray:
+    """live copied to the front of a fresh array with slots entries on axis."""
+    shape = list(live.shape)
+    shape[axis] = slots
+    out = np.empty(shape, live.dtype)
+    np.moveaxis(out, axis, 0)[:live.shape[axis]] = np.moveaxis(live, axis, 0)
+    return out
 
 
 class ChunkMemory:
@@ -41,7 +56,17 @@ class ChunkMemory:
 
     @property
     def n_chunks(self) -> int:
-        return self.chunks.shape[-3]
+        return self._end - self._start
+
+    @property
+    def summaries(self) -> np.ndarray:
+        """Stored summaries (..., N, d), oldest first; a view of the store."""
+        return self._summaries[..., self._start:self._end, :]
+
+    @property
+    def chunks(self) -> np.ndarray:
+        """Stored chunks (..., N, C, d), oldest first; a view of the store."""
+        return self._chunks[..., self._start:self._end, :, :]
 
     def reset(self) -> None:
         """Forget all contents; configuration survives. Idempotent."""
@@ -49,8 +74,9 @@ class ChunkMemory:
         self._empty((), 0, np.float64)
 
     def _empty(self, lead: tuple, d: int, dtype) -> None:
-        self.summaries = np.zeros(lead + (0, d), dtype)
-        self.chunks = np.zeros(lead + (0, self.chunk_size, d), dtype)
+        self._summaries = np.zeros(lead + (0, d), dtype)
+        self._chunks = np.zeros(lead + (0, self.chunk_size, d), dtype)
+        self._start = self._end = 0
         self.buffer = np.zeros(lead + (0, d), dtype)
 
     def write_step(self, row) -> None:
@@ -66,7 +92,8 @@ class ChunkMemory:
         steps how many of them exist once that step's row is written. Step
         t may read chunks [max(0, n_visible[t] - capacity), n_visible[t]),
         which includes chunks a later step of the same call evicts. The
-        returned arrays share memory with the store; read() gives copies.
+        returned arrays share memory with the store, and later writes never
+        change them; read() gives copies.
         """
         rows = rows.data if isinstance(rows, Tensor) else np.asarray(rows)
         # every array stored below is a fresh copy: memory never joins a tape
@@ -89,15 +116,24 @@ class ChunkMemory:
         frozen = np.maximum(0, (filled - c) // stride + 1)
         n_visible = self.n_chunks + frozen
         n_new = int(frozen[-1]) if len(frozen) else 0
-        summaries, chunks = self.summaries, self.chunks
+        start, end = self._start, self._end
         if n_new:
             idx = (np.arange(n_new) * stride)[:, None] + np.arange(c)
             new_chunks = combined[..., idx, :]
-            summaries = np.concatenate(
-                [summaries, new_chunks.mean(axis=-2)], axis=-2)
-            chunks = np.concatenate([chunks, new_chunks], axis=-3)
-            self.summaries = summaries[..., -self.capacity:, :]
-            self.chunks = chunks[..., -self.capacity:, :, :]
+            if end + n_new > self._chunks.shape[-3]:
+                # out of free slots: fresh arrays, never an in-place move,
+                # so arrays an earlier write returned stay as they were
+                live = end - start
+                slots = 2 * live + n_new
+                self._summaries = _in_slots(self.summaries, -2, slots)
+                self._chunks = _in_slots(self.chunks, -3, slots)
+                start, end = 0, live
+            self._summaries[..., end:end + n_new, :] = new_chunks.mean(axis=-2)
+            self._chunks[..., end:end + n_new, :, :] = new_chunks
+            end += n_new
+        summaries = self._summaries[..., start:end, :]
+        chunks = self._chunks[..., start:end, :, :]
+        self._start, self._end = max(start, end - self.capacity), end
         self.buffer = combined[..., n_new * stride:, :].copy()
         return summaries, chunks, n_visible
 

@@ -4,10 +4,11 @@ Every layer of the chunked-recall stack does, in order: write the raw layer
 input to that layer's chunk memory, add windowed causal self-attention, add
 relevance-gated recall over the memory's frozen chunks, add an MLP. One
 per-layer routine runs every model kind. forward_sequence hands it a whole
-sequence, which recall handles by grouping positions that see the same
-number of frozen chunks; stack_step hands it a one-step sequence. The
-tests check both against a step-at-a-time reference that writes to and
-reads from a ChunkMemory on every step.
+sequence, and recall selects chunks for each group of positions that see
+the same frozen chunks before it projects the ones picked; stack_step
+hands it a one-step sequence, whose recall then projects k chunks however
+many are stored. The tests check both against a step-at-a-time reference
+that writes to and reads from a ChunkMemory on every step.
 
 Baselines: a TransformerXL-flavored stack (windowed attention extended by a
 gradient-stopped cache of older inputs), the same with per-head top-k score
@@ -28,7 +29,6 @@ from .attention import (
     hcam_block,
     local_attention,
     multi_head_attention,
-    project_chunks,
     scaled_uniform,
     sinusoidal_table,
 )
@@ -83,6 +83,11 @@ class ModelConfig:
         if not 0 <= self.overlap < self.chunk_size:
             raise ContractError(
                 f"overlap {self.overlap} must be in [0, chunk_size {self.chunk_size})")
+        if self.task == "pai" and self.chunk_size < 2:
+            # pai_forward stores each pair as a two-row chunk, and the
+            # chunk position table has chunk_size rows
+            raise ContractError(
+                f"task pai needs chunk_size >= 2, got {self.chunk_size}")
         if self.xl_extra_length < 0:
             raise ContractError("xl_extra_length must be >= 0")
         if self.capacity < 1:
@@ -394,41 +399,16 @@ def _hcam_over_sequence(tape, model: Model, mem: ChunkMemory, layer: AttnLayer,
     Chunk contents are the raw layer inputs x. mem.write reports how many
     chunks each position sees: a position whose write completes a chunk
     already attends to it, and a chunk that a later position evicts stays
-    visible to the positions before it. Consecutive positions seeing the
-    same chunk count share one hcam_block call. Every chunk visible to any
-    of them is projected to detail keys and values once, and each call
-    selects its top-k from that projection by chunk offset.
+    visible to the positions before it. One hcam_block call gets every
+    position's bounds; it selects for each run of positions with equal
+    bounds, then projects only the chunks some position picked.
     """
     cfg = model.config
-    t_len = x.shape[-2]
-    all_summ, all_chunks, n_vis = mem.write(x.data)
-
-    # chunks [lo_first, n_last) cover every call's [lo, n) window
-    lo_first = max(0, int(n_vis[0]) - mem.capacity)
-    if n_vis[-1]:
-        keys, values = project_chunks(
-            tape, all_chunks[..., lo_first:n_vis[-1], :, :], layer.hcam,
-            cfg.n_heads, model.pos_chunk)
-
-    segs = []
-    ts = 0
-    while ts < t_len:
-        te = ts + 1
-        while te < t_len and n_vis[te] == n_vis[ts]:
-            te += 1
-        seg = tape.slice_ax(h, -2, ts, te)
-        n = int(n_vis[ts])
-        if n == 0:
-            segs.append(seg)
-        else:
-            lo = max(0, n - mem.capacity)
-            segs.append(hcam_block(
-                tape, seg, all_summ[..., lo:n, :], all_chunks[..., lo:n, :, :],
-                layer.hcam, cfg.n_heads, cfg.top_k,
-                pos_table=model.pos_chunk, counter=counter,
-                projected=(keys, values, lo - lo_first)))
-        ts = te
-    return segs[0] if len(segs) == 1 else tape.concat(segs, axis=-2)
+    summaries, chunks, n_vis = mem.write(x.data)
+    lo = np.maximum(0, n_vis - mem.capacity)
+    return hcam_block(tape, h, summaries, chunks, layer.hcam, cfg.n_heads,
+                      cfg.top_k, pos_table=model.pos_chunk, counter=counter,
+                      visible=(lo, n_vis))
 
 
 def _forward(tape: GradTape, model: Model, xs: Tensor, state: StackState,

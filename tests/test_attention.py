@@ -14,12 +14,13 @@ from chunkmem.attention import (
     init_hcam_params,
     local_attention,
     multi_head_attention,
+    project_chunks,
     relative_attention_weights,
     sinusoidal_table,
     top_k_select,
 )
 from chunkmem.benchmark import dense_score_count, hcam_score_count
-from chunkmem.errors import ContractError, EmptyMemoryError
+from chunkmem.errors import ContractError, EmptyMemoryError, ShapeError
 from chunkmem.gradcheck import fd_check
 from chunkmem.rng import make_rng
 from chunkmem.tensor import GradTape, Tensor
@@ -446,6 +447,55 @@ def test_batched_hcam_matches_per_row():
             GradTape(), Tensor(x[i]), summaries[i], chunks[i], p,
             n_heads=2, top_k=2).data
         assert np.max(np.abs(got[i] - one)) < 1e-12
+
+
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_hcam_visible_rows_match_one_call_per_row(batch):
+    # rows see nothing, overlapping windows and the whole memory; top_k 1
+    # of 6 leaves chunks unpicked, so recall projects a gathered subset
+    p, rng = small_block(23)
+    n, c = 6, 3
+    lo = np.array([0, 0, 0, 1, 1, 3, 0])
+    hi = np.array([0, 2, 2, 4, 4, 6, 6])
+    x = rng.normal(size=batch + (len(lo), 8))
+    chunks = rng.normal(size=batch + (n, c, 8))
+    summaries = chunks.mean(axis=-2)
+    pos = sinusoidal_table(c, 8)
+    ctr = ScoreCounter()
+    got = hcam_block(GradTape(), Tensor(x), summaries, chunks, p, n_heads=2,
+                     top_k=1, pos_table=pos, counter=ctr,
+                     visible=(lo, hi)).data
+    want = x.copy()
+    want_ctr = ScoreCounter()
+    for t in range(len(lo)):
+        a, b = lo[t], hi[t]
+        want[..., t:t + 1, :] = hcam_block(
+            GradTape(), Tensor(x[..., t:t + 1, :]), summaries[..., a:b, :],
+            chunks[..., a:b, :, :], p, n_heads=2, top_k=1, pos_table=pos,
+            counter=want_ctr).data
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert ctr.scores == want_ctr.scores
+
+
+def test_hcam_visible_bounds_are_checked():
+    p, rng = small_block(24)
+    x = Tensor(rng.normal(size=(3, 8)))
+    chunks = rng.normal(size=(4, 2, 8))
+    for lo, hi, err in (([0, 0], [1, 1], ShapeError),
+                        ([0, 0, 0], [1, 5, 1], ContractError),
+                        ([0, 2, 0], [1, 1, 1], ContractError),
+                        ([-1, 0, 0], [1, 1, 1], ContractError)):
+        with pytest.raises(err):
+            hcam_block(GradTape(), x, chunks.mean(1), chunks, p, n_heads=2,
+                       top_k=1, visible=(np.array(lo), np.array(hi)))
+
+
+def test_project_chunks_rejects_a_short_position_table():
+    p, rng = small_block(25)
+    chunks = rng.normal(size=(3, 2, 8))
+    project_chunks(GradTape(), chunks, p, 2, sinusoidal_table(2, 8))
+    with pytest.raises(ShapeError, match="position table"):
+        project_chunks(GradTape(), chunks, p, 2, sinusoidal_table(1, 8))
 
 
 # ---- small utilities ----

@@ -86,6 +86,16 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "error: ContractError:" in capsys.readouterr().err
 
 
+def test_pai_with_one_row_chunks_is_one_line_error(capsys):
+    # pai stores two-row chunks; a one-row position table would broadcast
+    code = main(["train", "--task", "pai", "--chunk-size", "1", "--steps", "1"])
+    assert code == 2
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln]
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ContractError:")
+    assert "chunk_size" in lines[0]
+
+
 def test_unwritable_output_path_rejected(tmp_path, capsys):
     code = main(["train", *TRAIN_SMALL, "--out",
                  str(tmp_path / "no" / "such" / "dir" / "m.csv")])

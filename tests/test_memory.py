@@ -96,6 +96,28 @@ def test_read_returns_snapshots():
     assert c2.shape == (2, 2, 1)  # earlier snapshot unaffected by new writes
 
 
+def test_freezes_reuse_the_store_and_leave_returned_arrays_alone():
+    # a full memory evicting on every freeze: stored chunks move to fresh
+    # arrays only when the free slots run out, about once per capacity
+    # freezes, and what an earlier write returned never changes
+    m = ChunkMemory(chunk_size=2, capacity=64)
+    rng = make_rng(3)
+    m.write(rng.normal(size=(2, 64 * 2, 3)))
+    held = [(s, c, s.copy(), c.copy())
+            for s, c, _n in [m.write(rng.normal(size=(2, 1, 3)))]]
+    moves, prev = 0, m.chunks
+    for i in range(1000):
+        s, c, _n = m.write(rng.normal(size=(2, 2, 3)))
+        moves += not np.shares_memory(prev, m.chunks)
+        prev = m.chunks
+        if i % 97 == 0:
+            held.append((s, c, s.copy(), c.copy()))
+        assert m.n_chunks == 64
+    assert moves <= 1000 // 64 + 2
+    for s, c, s0, c0 in held:
+        assert np.array_equal(s, s0) and np.array_equal(c, c0)
+
+
 def test_written_tensor_is_detached_copy():
     m = ChunkMemory(chunk_size=1)
     t = Tensor(np.array([1.0, 2.0]))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chunkmem import attention
 from chunkmem.attention import hcam_block, local_attention
 from chunkmem.errors import ContractError, ShapeError
 from chunkmem.rng import make_rng
@@ -19,6 +20,7 @@ from chunkmem.stack import (
     stack_step,
 )
 from chunkmem.memory import ChunkMemory
+from chunkmem.tasks import ballet_batch, encode_ballet_tokens
 from chunkmem.tensor import GradTape, Tensor
 
 
@@ -147,6 +149,8 @@ def test_config_validation():
         ModelConfig(dtype="float16")
     with pytest.raises(ContractError):
         ModelConfig(task="sorting")
+    with pytest.raises(ContractError, match="chunk_size"):
+        ModelConfig(task="pai", chunk_size=1)
     for bad in (dict(d_model=-64), dict(n_heads=0), dict(n_layers=0),
                 dict(dancer_vocab=0), dict(direction_vocab=0),
                 dict(query_vocab=0), dict(n_classes=0), dict(item_dim=0),
@@ -284,6 +288,63 @@ def test_hcam_long_split_calls_match_steps():
         assert np.max(np.abs(joined[b] - steps)) < 1e-9
         assert np.max(np.abs(joined[b] - ref)) < 1e-9
         assert np.max(np.abs(steps - ref)) < 1e-9
+
+
+def test_hcam_step_equals_sequence_with_thousands_of_chunks():
+    # 1550 two-row chunks a layer through a capacity of 1500, so the last
+    # 50 freezes evict; every step reads k of up to 1500 chunks
+    cfg = ModelConfig(kind="hcam", d_model=8, n_heads=2, n_layers=2,
+                      chunk_size=2, top_k=2, local_window=2, capacity=1500)
+    model = Model(cfg, seed=11)
+    xs = make_rng(12).normal(size=(3100, 8))
+    a = run_steps(model, xs)
+    b = run_sequence(model, xs)
+    ref = ref_hcam_steps(model, xs)
+    assert np.max(np.abs(a - b)) < 1e-9
+    assert np.max(np.abs(a - ref)) < 1e-9
+
+
+def record_projections(monkeypatch):
+    """Chunks argument of every project_chunks call, in call order."""
+    calls = []
+    orig = attention.project_chunks
+
+    def recording(tape, chunks, *args, **kwargs):
+        calls.append(chunks)
+        return orig(tape, chunks, *args, **kwargs)
+
+    monkeypatch.setattr(attention, "project_chunks", recording)
+    return calls
+
+
+def test_full_memory_step_projects_only_selected_chunks(monkeypatch):
+    cfg = ModelConfig(kind="hcam", d_model=16, n_heads=2, n_layers=2,
+                      chunk_size=4, top_k=2, local_window=4, capacity=64)
+    model = Model(cfg, seed=3)
+    rows = make_rng(13).normal(size=(64 * 4 + 20, 16))
+    tape = GradTape(recording=False)
+    _, state = forward_sequence(tape, model, Tensor(rows[None, :-20]))
+    calls = record_projections(monkeypatch)
+    for t in range(64 * 4, len(rows)):  # 5 of these 20 steps freeze a chunk
+        stack_step(tape, model, state, Tensor(rows[None, None, t]))
+        assert all(m.n_chunks == 64 for m in state.memories)
+    assert len(calls) == 20 * cfg.n_layers
+    assert all(c.shape[-3] <= cfg.top_k for c in calls)
+
+
+def test_ballet_batch_projects_the_contiguous_slice(monkeypatch):
+    # at batch 8 every chunk is picked by some query, so recall projects
+    # the stored chunks in place rather than a gathered copy
+    model = Model(ModelConfig(kind="hcam"), seed=1)
+    dancers, directions, queries, _ = ballet_batch(2, 16, 1, 0, 8)
+    tape = GradTape()
+    xs = encode_ballet_tokens(tape, model, dancers, directions, queries)
+    calls = record_projections(monkeypatch)
+    _, state = forward_sequence(tape, model, xs)
+    assert len(calls) == len(state.memories) == 2
+    for chunks, mem in zip(calls, state.memories):
+        assert chunks.shape == (8, 6, 8, 64) and mem.n_chunks == 6
+        assert np.shares_memory(chunks, mem.chunks)
 
 
 def test_hcam_batched_matches_unbatched_rows():
