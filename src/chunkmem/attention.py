@@ -394,8 +394,7 @@ def hcam_block(
     if isinstance(chunks, Tensor):
         chunks = chunks.data
     chunks = np.asarray(chunks)
-    *lead, q, d = x.shape
-    n = summaries.shape[-2]
+    q, n = x.shape[-2], summaries.shape[-2]
     if visible is None:
         bounds = [(0, n)] * q
     else:

@@ -28,15 +28,6 @@ from .errors import ContractError, ShapeError
 from .tensor import Tensor
 
 
-def _in_slots(live: np.ndarray, axis: int, slots: int) -> np.ndarray:
-    """live copied to the front of a fresh array with slots entries on axis."""
-    shape = list(live.shape)
-    shape[axis] = slots
-    out = np.empty(shape, live.dtype)
-    np.moveaxis(out, axis, 0)[:live.shape[axis]] = np.moveaxis(live, axis, 0)
-    return out
-
-
 class ChunkMemory:
     """Fixed-length chunks of written rows plus their mean summaries."""
 
@@ -124,9 +115,14 @@ class ChunkMemory:
                 # out of free slots: fresh arrays, never an in-place move,
                 # so arrays an earlier write returned stay as they were
                 live = end - start
-                slots = 2 * live + n_new
-                self._summaries = _in_slots(self.summaries, -2, slots)
-                self._chunks = _in_slots(self.chunks, -3, slots)
+                lead, d = rows.shape[:-2], rows.shape[-1]
+                summaries = np.empty(lead + (2 * live + n_new, d),
+                                     self._summaries.dtype)
+                summaries[..., :live, :] = self.summaries
+                chunks = np.empty(lead + (2 * live + n_new, c, d),
+                                  self._chunks.dtype)
+                chunks[..., :live, :, :] = self.chunks
+                self._summaries, self._chunks = summaries, chunks
                 start, end = 0, live
             self._summaries[..., end:end + n_new, :] = new_chunks.mean(axis=-2)
             self._chunks[..., end:end + n_new, :, :] = new_chunks

@@ -87,7 +87,7 @@ def git_head(side: Path) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def sweep_child(steps: int) -> None:
+def sweep_child() -> None:
     """Print the capacity sweep of this checkout as one JSON line."""
     sys.path.insert(0, "perfbench")
     import run as perfbench_run  # pins BLAS threads before NumPy loads
@@ -109,7 +109,7 @@ def sweep_child(steps: int) -> None:
         model = Model(cfg, seed=0)
         prefill = cap * cfg.chunk_size
         rows = np.random.default_rng(0).standard_normal(
-            (prefill + SWEEP_WARMUP + steps, cfg.d_model)).astype(cfg.np_dtype)
+            (prefill + SWEEP_WARMUP + SWEEP_STEPS, cfg.d_model)).astype(cfg.np_dtype)
         tape = GradTape(recording=False)
         state = None
         for s in range(0, prefill, 64):
@@ -132,10 +132,9 @@ def sweep_child(steps: int) -> None:
     print(json.dumps(out))
 
 
-def run_sweep(side: Path, steps: int) -> dict:
+def run_sweep(side: Path) -> dict:
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--sweep-child",
-         "--sweep-steps", str(steps)],
+        [sys.executable, str(Path(__file__).resolve()), "--sweep-child"],
         cwd=side, capture_output=True, text=True, timeout=3600)
     if proc.returncode != 0:
         raise RuntimeError(f"{side}: sweep exited {proc.returncode}: "
@@ -160,19 +159,19 @@ def main(argv=None) -> int:
                    help="seed of the first pair; pair i uses seed + i")
     p.add_argument("--seconds", type=float, default=None,
                    help="run length; default: BENCHMARK.json run_seconds")
-    p.add_argument("--sweep-steps", type=int, default=SWEEP_STEPS)
     p.add_argument("--out", type=Path)
     p.add_argument("--sweep-child", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.sweep_child:
-        sweep_child(args.sweep_steps)
+        sweep_child()
         return 0
     if args.parent is None or args.change is None or args.out is None:
         p.error("--parent, --change and --out are required")
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
 
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    given = {"parent": args.parent, "change": args.change}
+    sides = {name: path.resolve() for name, path in given.items()}
     bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     seconds = args.seconds or bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
@@ -196,7 +195,7 @@ def main(argv=None) -> int:
             argv if argv is not None else sys.argv[1:])]),
         "run_command": "python3 perfbench/run.py --workload W --seed S "
                        f"--seconds {seconds:g} --trace 0",
-        "sides": {name: {"path": str(path), "commit": git_head(path)}
+        "sides": {name: {"path": str(given[name]), "commit": git_head(path)}
                   for name, path in sides.items()},
         "host": {"cpus": os.cpu_count(), "platform": platform.platform(),
                  "python": platform.python_version()},
@@ -223,9 +222,9 @@ def main(argv=None) -> int:
     report["sweep"] = {
         "what": "batch-1 stack_step on a full memory that evicts on every "
                 "freeze; stream-recall's model at each capacity, seed 0, "
-                f"{args.sweep_steps} timed steps after {SWEEP_WARMUP} warm-up "
+                f"{SWEEP_STEPS} timed steps after {SWEEP_WARMUP} warm-up "
                 "steps, split by whether the step froze a chunk",
-        **{n: run_sweep(sides[n], args.sweep_steps) for n in sides}}
+        **{n: run_sweep(sides[n]) for n in sides}}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {args.out}")
     return 0
