@@ -386,8 +386,7 @@ def hcam_block(
     rows with equal bounds is scored and selects on its own. Selection
     runs first for every run, then only the chunks some row picked are
     projected to detail keys and values, once, so a read costs k chunk
-    projections per query rather than N. When every chunk in view was
-    picked, the projection reads the contiguous slice of chunks in place.
+    projections per query rather than N.
     """
     if isinstance(summaries, Tensor):
         summaries = summaries.data
@@ -432,10 +431,10 @@ def hcam_block(
     for _seg, _normed, _rel, sel, a in picks:
         if sel is not None:
             hit[sel.reshape(-1) + (a - first)] = True
-    picked = (chunks[..., first:last, :, :] if hit.all()
-              else chunks[..., np.flatnonzero(hit) + first, :, :])
     row_of = np.cumsum(hit) - 1  # chunk first + i is row row_of[i] of picked
-    keys, values = project_chunks(tape, picked, params, n_heads, pos_table)
+    keys, values = project_chunks(
+        tape, chunks[..., np.flatnonzero(hit) + first, :, :], params, n_heads,
+        pos_table)
 
     # detail attention inside each run's selected chunks
     outs = [seg if sel is None else _recall_detail(

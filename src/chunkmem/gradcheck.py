@@ -228,7 +228,7 @@ def corrupted_backward_is_caught(tol: float = TOL_DEFAULT) -> bool:
 # heads, which stack_step never reads, are constants.
 
 
-def _composed_cases(rng):
+def _composed_cases(rng, sparse_rng):
     from .attention import (MIN_WINDOWS_FOR_BLOCKS, AttentionParams,
                             HcamParams, hcam_block, local_attention,
                             sinusoidal_table)
@@ -236,17 +236,17 @@ def _composed_cases(rng):
 
     d, heads = 8, 2
 
-    def r(*shape):
-        return rng.uniform(-0.5, 0.5, size=shape)
+    def r(*shape, g=rng):
+        return g.uniform(-0.5, 0.5, size=shape)
 
-    def proj():
-        return r(d, d)
+    def proj(g=rng):
+        return r(d, d, g=g)
 
     cases = []
 
     pos2 = sinusoidal_table(2, d)
 
-    def hcam_case(name, mem_chunks, n_rows, top_k, visible=None):
+    def hcam_case(name, mem_chunks, n_rows, top_k, visible=None, g=rng):
         mem_summ = mem_chunks.mean(axis=1)
 
         def hcam_loss(tp, v):
@@ -258,18 +258,21 @@ def _composed_cases(rng):
             return tp.reduce_sum(tp.tanh(out))
 
         cases.append((name, {
-            "x": r(n_rows, d), "ln_g": 1.0 + 0.2 * r(d), "ln_b": 0.2 * r(d),
-            "w_rel": proj(), "wq": proj(), "wk": proj(), "wv": proj(),
-            "wo": proj(),
-        }, hcam_loss))
+            "x": r(n_rows, d, g=g), "ln_g": 1.0 + 0.2 * r(d, g=g),
+            "ln_b": 0.2 * r(d, g=g), "w_rel": proj(g), "wq": proj(g),
+            "wk": proj(g), "wv": proj(g), "wo": proj(g),
+        }, hcam_loss, g))
 
     hcam_case("hcam_block", r(3, 2, d), 4, 2)
-    # one query projects its one picked chunk of five
-    hcam_case("hcam_block_sparse", r(5, 2, d), 1, 1)
+    # the next two draw from sparse_rng, so every other case keeps its values
+    # and sampled entries. One query projects its one picked chunk of five
+    hcam_case("hcam_block_sparse", r(5, 2, d, g=sparse_rng), 1, 1,
+              g=sparse_rng)
     # runs of rows with their own chunk windows, one of them empty; at
     # most four distinct picks, so a gathered subset of the five projects
-    hcam_case("hcam_block_visible", r(5, 2, d), 5, 1,
-              visible=(np.array([0, 0, 1, 1, 2]), np.array([0, 2, 3, 3, 5])))
+    hcam_case("hcam_block_visible", r(5, 2, d, g=sparse_rng), 5, 1,
+              visible=(np.array([0, 0, 1, 1, 2]), np.array([0, 2, 3, 3, 5])),
+              g=sparse_rng)
 
     # long enough that local_attention scores blocks, with carried rows
     win, carry = 3, 2
@@ -285,7 +288,7 @@ def _composed_cases(rng):
     cases.append(("local_attention_blocked", {
         "x": r(carry + t_blk, d), "wq": proj(), "wk": proj(), "wv": proj(),
         "wo": proj(),
-    }, local_loss))
+    }, local_loss, rng))
 
     fills = {"uniform": lambda s: r(*s), "ones": lambda s: 1.0 + 0.2 * r(*s),
              "zeros": lambda s: 0.1 * r(*s)}
@@ -308,7 +311,7 @@ def _composed_cases(rng):
                 total = s if total is None else tp.add(total, s)
             return total
 
-        cases.append((name, inputs, loss))
+        cases.append((name, inputs, loss, rng))
 
     stack_case("stack_step_hcam", 7, kind="hcam", n_layers=1, chunk_size=2,
                top_k=2, local_window=3)
@@ -321,10 +324,11 @@ def _composed_cases(rng):
 def run_composed_checks(seed: int = 0, h: float = H_DEFAULT,
                         tol: float = TOL_DEFAULT,
                         max_entries: int = 25) -> list[tuple[str, float, bool]]:
-    """Finite-difference the recall block and the stepped stacks."""
-    rng = make_rng(seed)
+    """Finite-difference the recall block and the stepped stacks. Each case
+    samples its checked entries from the generator that drew its inputs."""
     rows = []
-    for name, inputs, fn in _composed_cases(rng):
+    for name, inputs, fn, rng in _composed_cases(make_rng(seed),
+                                                 make_rng(seed + 1)):
         report = fd_check(fn, inputs, h=h, rng=rng, max_entries=max_entries)
         err = max(report.values())
         rows.append((name, err, err < tol))

@@ -8,10 +8,11 @@ Usage, from the root of the change's checkout:
 For pair i (seed --seed + i) and every workload in the change's
 BENCHMARK.json it runs, in both checkouts,
 
-    python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds R --trace 0
 
-the parent first in even pairs and the change first in odd ones. Each side
-imports its own src/. The BENCH file gets, per workload and end-to-end
+with R the run_seconds of the change's BENCHMARK.json, the parent first
+in even pairs and the change first in odd ones. Each side imports its own
+src/. The BENCH file gets, per workload and end-to-end
 metric, each side's runs, median and quartiles, and how many pairs the
 change won (ties count for neither side). Seed 0 then runs once a side with
 a short budget for its output digest, which covers only the part of a run
@@ -157,8 +158,6 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=701,
                    help="seed of the first pair; pair i uses seed + i")
-    p.add_argument("--seconds", type=float, default=None,
-                   help="run length; default: BENCHMARK.json run_seconds")
     p.add_argument("--out", type=Path)
     p.add_argument("--sweep-child", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
@@ -173,7 +172,7 @@ def main(argv=None) -> int:
     given = {"parent": args.parent, "change": args.change}
     sides = {name: path.resolve() for name, path in given.items()}
     bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
     metrics = bench["end_to_end"]
 
