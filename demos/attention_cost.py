@@ -6,9 +6,9 @@ The two-stage read scores all N chunk summaries plus the k*C rows inside
 the selected chunks, so its per-query cost is N + k*C. A flat read over
 the same storage pays N*C. The counts below come from instrumented runs,
 not from the formula, and the closed form is checked against them. The
-two-stage read also projects only the chunks it selected, so its wall
-time (median ms, after untimed warm-up calls) stays nearly flat as N
-grows while the flat read's grows with N*C.
+two-stage read also touches only the rows of the chunks it selected, so
+its wall time (median ms, after untimed warm-up calls) stays nearly flat
+as N grows while the flat read's grows with N*C.
 
 Run with  python3 demos/attention_cost.py
 """

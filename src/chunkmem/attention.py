@@ -330,36 +330,6 @@ def top_k_select(scores: np.ndarray, k: int) -> np.ndarray:
     return np.sort(order, axis=-1)
 
 
-def project_chunks(
-    tape: GradTape,
-    chunks: np.ndarray,
-    params: HcamParams,
-    n_heads: int,
-    pos_table: np.ndarray | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Detail keys and values of stored chunks, (..., N, h, C, dh) each.
-
-    chunks (..., N, C, d) are constants (stop-gradient on memory contents);
-    pos_table rows 0..C-1 are added to each chunk's rows before projecting.
-    """
-    *lead, n, c, d = chunks.shape
-    nl = len(lead)
-    if pos_table is not None:
-        if pos_table.shape[0] < c:
-            raise ShapeError(f"position table has {pos_table.shape[0]} rows, "
-                             f"chunks have {c}")
-        chunks = chunks + pos_table[:c]
-    flat = Tensor(chunks.reshape(tuple(lead) + (n * c, d)))
-
-    def heads(w):
-        hh = _split_heads(tape, tape.matmul(flat, w), n_heads)
-        hh = tape.reshape(hh, (*lead, n_heads, n, c, d // n_heads))
-        perm = tuple(range(nl)) + (nl + 1, nl, nl + 2, nl + 3)
-        return tape.transpose(hh, perm)
-
-    return heads(params.mha.wk), heads(params.mha.wv)
-
-
 def hcam_block(
     tape: GradTape,
     x: Tensor,
@@ -379,21 +349,28 @@ def hcam_block(
     row picks its own top-k chunks from the relevance softmax; the selected
     chunks' detail-attention outputs, weighted by their unrenormalized
     relevance, are summed and added to x. A row that sees no chunk passes
-    through unchanged.
+    through unchanged. pos_table rows 0..C-1 are added to each chunk's
+    rows on the key and value side.
 
     visible = (lo, hi), two length-q integer arrays, lets query row t see
     only chunks [lo[t], hi[t]); None lets every row see all N. Each run of
-    rows with equal bounds is scored and selects on its own. Selection
-    runs first for every run, then only the chunks some row picked are
-    projected to detail keys and values, once, so a read costs k chunk
-    projections per query rather than N.
+    rows with equal bounds is scored and selects on its own. Then one
+    detail read covers all rows in input space: it gathers each row's
+    selected chunk rows as constants, scores them against the query folded
+    through wq_h wk_h^T, softmaxes per chunk, weights by relevance and sums
+    the rows; only that sum passes through wv_h and wo. Position codes
+    enter as C-row terms, so no stored row is ever projected.
     """
     if isinstance(summaries, Tensor):
         summaries = summaries.data
     if isinstance(chunks, Tensor):
         chunks = chunks.data
     chunks = np.asarray(chunks)
-    q, n = x.shape[-2], summaries.shape[-2]
+    *lead, q, d = x.shape
+    n, c = summaries.shape[-2], chunks.shape[-2]
+    if pos_table is not None and pos_table.shape[0] < c:
+        raise ShapeError(f"position table has {pos_table.shape[0]} rows, "
+                         f"chunks have {c}")
     if visible is None:
         bounds = [(0, n)] * q
     else:
@@ -409,70 +386,79 @@ def hcam_block(
     # runs of rows with equal bounds: (first row, end row, lo, hi)
     starts = [t for t in range(q) if t == 0 or bounds[t] != bounds[t - 1]]
     runs = [(ts, te, *bounds[ts]) for ts, te in zip(starts, starts[1:] + [q])]
-    if all(a == b for _ts, _te, a, b in runs):
+    live = [(ts, te) for ts, te, a, b in runs if a < b]
+    if not live:
         return x
+    # rows before the first and after the last run that sees a chunk pass
+    # through unchanged; the runs in between are renumbered from r0
+    r0, r1 = live[0][0], live[-1][1]
+    runs = [(ts - r0, te - r0, a, b) for ts, te, a, b in runs if r0 <= ts < r1]
+    nq, q = q, r1 - r0
+    body = x if q == nq else tape.slice_ax(x, -2, r0, r1)
+    kk = max(1, min(top_k, max(b - a for *_t, a, b in runs)))
 
-    # phase 1: relevance and top-k for every run
-    picks = []
+    # phase 1: relevance and top-k for every run; ids are global chunk ids
+    normed = tape.layer_norm(body, params.ln_gain, params.ln_bias)
+    ids = np.zeros((*lead, q, kk), dtype=np.int64)  # empty slots: chunk 0
+    weights = []
     for ts, te, a, b in runs:
-        seg = x if te - ts == q else tape.slice_ax(x, -2, ts, te)
+        pad = np.zeros((*lead, te - ts, kk), dtype=x.dtype)
         if a == b:
-            picks.append((seg, None, None, None, a))
+            weights.append(Tensor(pad))
             continue
-        normed = tape.layer_norm(seg, params.ln_gain, params.ln_bias)
-        rel = chunk_relevance(tape, normed, Tensor(summaries[..., a:b, :]),
+        seg = normed if te - ts == q else tape.slice_ax(normed, -2, ts, te)
+        rel = chunk_relevance(tape, seg, Tensor(summaries[..., a:b, :]),
                               params.w_rel, counter)
-        picks.append((seg, normed, rel, top_k_select(rel.data, top_k), a))
+        sel = top_k_select(rel.data, top_k)
+        k = sel.shape[-1]
+        ids[..., ts:te, :k] = sel + a
+        w = tape.gather_last(rel, sel)  # relevance of the selected chunks
+        if k < kk:  # and weight 0 for the empty slots
+            w = tape.concat([w, Tensor(pad[..., k:])], axis=-1)
+        weights.append(w)
+        if counter is not None:
+            counter.add(int(np.prod(lead, dtype=np.int64)) * (te - ts) * k * c)
+    weights = weights[0] if len(weights) == 1 else tape.concat(weights, axis=-2)
 
-    # phase 2: project each chunk some row picked, once
-    first = min(a for _ts, _te, a, b in runs if a < b)
-    last = max(b for _ts, _te, _a, b in runs)
-    hit = np.zeros(last - first, dtype=bool)
-    for _seg, _normed, _rel, sel, a in picks:
-        if sel is not None:
-            hit[sel.reshape(-1) + (a - first)] = True
-    row_of = np.cumsum(hit) - 1  # chunk first + i is row row_of[i] of picked
-    keys, values = project_chunks(
-        tape, chunks[..., np.flatnonzero(hit) + first, :, :], params, n_heads,
-        pos_table)
-
-    # detail attention inside each run's selected chunks
-    outs = [seg if sel is None else _recall_detail(
-                tape, seg, normed, rel, sel, row_of[sel + (a - first)], keys,
-                values, params, n_heads, counter)
-            for seg, normed, rel, sel, a in picks]
-    return outs[0] if len(outs) == 1 else tape.concat(outs, axis=-2)
-
-
-def _recall_detail(tape, x, normed, rel, sel, rows, keys, values, params,
-                   n_heads, counter) -> Tensor:
-    """x plus the relevance-weighted detail attention of each query row of
-    normed inside its selected chunks. sel (..., q, k') indexes them along
-    rel's chunk axis, rows along the chunk axis of keys and values."""
-    *lead, q, d = x.shape
-    nl = len(lead)
-    kk = sel.shape[-1]
-    c, dh = keys.shape[-2:]
-    gshape = (*lead, q, kk, n_heads, c, dh)
-    rows_flat = rows.reshape(tuple(lead) + (q * kk,))
-    kh = tape.reshape(tape.take_rows(keys, rows_flat), gshape)
-    vh = tape.reshape(tape.take_rows(values, rows_flat), gshape)
-
-    qh = _split_heads(tape, tape.matmul(normed, params.mha.wq), n_heads)
-    qh = tape.transpose(qh, tuple(range(nl)) + (nl + 1, nl, nl + 2))
-    qh = tape.reshape(qh, (*lead, q, 1, n_heads, 1, dh))
-
-    scores = tape.scale(tape.matmul(qh, tape.swap_last2(kh)), 1.0 / np.sqrt(dh))
-    if counter is not None:  # (..., q, k', h, 1, C); heads share one count
-        counter.add(int(np.prod(lead, dtype=np.int64)) * q * kk * c)
-    att = tape.matmul(tape.softmax(scores, axis=-1), vh)
-    att = tape.reshape(att, (*lead, q, kk, d))  # (h, 1, dh) -> head-major d
-    att = tape.matmul(att, params.mha.wo)
-
-    weights = tape.gather_last(rel, sel)  # relevance of the selected chunks
-    weighted = tape.multiply(att, tape.reshape(weights, (*lead, q, kk, 1)))
-    result = tape.reduce_sum(weighted, axis=-2)
-    return tape.add(x, result)
+    # phase 2: one detail read over all rows, in input space
+    h, dh = n_heads, d // n_heads
+    rows = tape.take_rows(Tensor(chunks), ids.reshape(*lead, q * kk))
+    rows = rows.data.reshape(*lead, q, kk * c, d)
+    # fold the weights in x's precision, the one they met the rows in when
+    # rows were projected: pai feeds a float32 model float64 rows, and folds
+    # rounded to float32 kept criterion 6's direct recall below 0.95
+    m, zero = params.mha, Tensor(np.zeros((), dtype=x.dtype))
+    wq, wk, wv, wo = (w if w.dtype == x.dtype else tape.add(zero, w)
+                      for w in (m.wq, m.wk, m.wv, m.wo))
+    wq = tape.transpose(tape.reshape(wq, (d, h, dh)), (1, 0, 2))
+    wk = tape.transpose(tape.reshape(wk, (d, h, dh)), (1, 2, 0))
+    wqk = tape.reshape(tape.transpose(tape.matmul(wq, wk), (1, 0, 2)),
+                       (d, h * d))
+    qt = tape.matmul(normed, tape.scale(wqk, 1.0 / np.sqrt(dh)))
+    qt = tape.reshape(qt, (*lead, q, h, d))  # key-folded query per head
+    scores = tape.matmul(qt, Tensor(np.swapaxes(rows, -1, -2)))
+    scores = tape.reshape(scores, (*lead, q, h, kk, c))
+    if pos_table is not None:
+        pos = pos_table[:c].astype(x.dtype, copy=False)
+        scores = tape.add(scores, tape.reshape(
+            tape.matmul(qt, Tensor(pos.T)), (*lead, q, h, 1, c)))
+    att = tape.multiply(tape.softmax(scores, axis=-1),
+                        tape.reshape(weights, (*lead, q, 1, kk, 1)))
+    att = tape.reshape(att, (*lead, q, h, kk * c))
+    read = tape.reshape(tape.matmul(att, Tensor(rows)), (*lead, q, h * d))
+    wv = tape.transpose(tape.reshape(wv, (d, h, dh)), (1, 0, 2))
+    wvo = tape.matmul(wv, tape.reshape(wo, (h, dh, d)))  # (h, d, d)
+    out = tape.matmul(read, tape.reshape(wvo, (h * d, d)))
+    if pos_table is not None:  # sum_j att_j . (pos wv_h wo_h), for all heads
+        pvo = tape.matmul(Tensor(np.tile(pos, (kk, 1))), wvo)
+        out = tape.add(out, tape.matmul(
+            tape.reshape(att, (*lead, q, h * kk * c)),
+            tape.reshape(pvo, (h * kk * c, d))))
+    out = tape.add(body, out)
+    if body is x:
+        return out
+    parts = [tape.slice_ax(x, -2, 0, r0), out, tape.slice_ax(x, -2, r1, nq)]
+    return tape.concat([p for p in parts if p.shape[-2]], axis=-2)
 
 
 def relative_attention_weights(weights: np.ndarray) -> np.ndarray:

@@ -228,7 +228,7 @@ def corrupted_backward_is_caught(tol: float = TOL_DEFAULT) -> bool:
 # heads, which stack_step never reads, are constants.
 
 
-def _composed_cases(rng, sparse_rng):
+def _composed_cases(rng, sparse_rng, padded_rng):
     from .attention import (MIN_WINDOWS_FOR_BLOCKS, AttentionParams,
                             HcamParams, hcam_block, local_attention,
                             sinusoidal_table)
@@ -265,14 +265,19 @@ def _composed_cases(rng, sparse_rng):
 
     hcam_case("hcam_block", r(3, 2, d), 4, 2)
     # the next two draw from sparse_rng, so every other case keeps its values
-    # and sampled entries. One query projects its one picked chunk of five
+    # and sampled entries. One query reads its one picked chunk of five
     hcam_case("hcam_block_sparse", r(5, 2, d, g=sparse_rng), 1, 1,
               g=sparse_rng)
     # runs of rows with their own chunk windows, one of them empty; at
-    # most four distinct picks, so a gathered subset of the five projects
+    # most four distinct picks, so a subset of the five is read
     hcam_case("hcam_block_visible", r(5, 2, d, g=sparse_rng), 5, 1,
               visible=(np.array([0, 0, 1, 1, 2]), np.array([0, 2, 3, 3, 5])),
               g=sparse_rng)
+    # its own generator too: rows that see 0, 1 and 3 chunks with top_k 2,
+    # so empty slots and a row that sees nothing sit inside one read
+    hcam_case("hcam_block_padded", r(4, 2, d, g=padded_rng), 6, 2,
+              visible=(np.array([0, 0, 1, 1, 2, 0]),
+                       np.array([0, 1, 4, 4, 2, 3])), g=padded_rng)
 
     # long enough that local_attention scores blocks, with carried rows
     win, carry = 3, 2
@@ -327,8 +332,8 @@ def run_composed_checks(seed: int = 0, h: float = H_DEFAULT,
     """Finite-difference the recall block and the stepped stacks. Each case
     samples its checked entries from the generator that drew its inputs."""
     rows = []
-    for name, inputs, fn, rng in _composed_cases(make_rng(seed),
-                                                 make_rng(seed + 1)):
+    for name, inputs, fn, rng in _composed_cases(
+            make_rng(seed), make_rng(seed + 1), make_rng(seed + 2)):
         report = fd_check(fn, inputs, h=h, rng=rng, max_entries=max_entries)
         err = max(report.values())
         rows.append((name, err, err < tol))

@@ -5,9 +5,9 @@ input to that layer's chunk memory, add windowed causal self-attention, add
 relevance-gated recall over the memory's frozen chunks, add an MLP. One
 per-layer routine runs every model kind. forward_sequence hands it a whole
 sequence, and recall selects chunks for each group of positions that see
-the same frozen chunks before it projects the ones picked; stack_step
-hands it a one-step sequence, whose recall then projects k chunks however
-many are stored. The tests check both against a step-at-a-time reference
+the same frozen chunks, then reads the picked chunks' rows for all
+positions at once; stack_step hands it a one-step sequence, whose recall
+then reads k chunks however many are stored. The tests check both against a step-at-a-time reference
 that writes to and reads from a ChunkMemory on every step.
 
 Baselines: a TransformerXL-flavored stack (windowed attention extended by a
@@ -401,7 +401,7 @@ def _hcam_over_sequence(tape, model: Model, mem: ChunkMemory, layer: AttnLayer,
     already attends to it, and a chunk that a later position evicts stays
     visible to the positions before it. One hcam_block call gets every
     position's bounds; it selects for each run of positions with equal
-    bounds, then projects only the chunks some position picked.
+    bounds, then reads only the rows of the chunks each position picked.
     """
     cfg = model.config
     summaries, chunks, n_vis = mem.write(x.data)

@@ -14,7 +14,6 @@ from chunkmem.attention import (
     init_hcam_params,
     local_attention,
     multi_head_attention,
-    project_chunks,
     relative_attention_weights,
     sinusoidal_table,
     top_k_select,
@@ -490,12 +489,15 @@ def test_hcam_visible_bounds_are_checked():
                        top_k=1, visible=(np.array(lo), np.array(hi)))
 
 
-def test_project_chunks_rejects_a_short_position_table():
+def test_hcam_rejects_a_short_position_table():
     p, rng = small_block(25)
+    x = Tensor(rng.normal(size=(2, 8)))
     chunks = rng.normal(size=(3, 2, 8))
-    project_chunks(GradTape(), chunks, p, 2, sinusoidal_table(2, 8))
+    hcam_block(GradTape(), x, chunks.mean(1), chunks, p, n_heads=2, top_k=1,
+               pos_table=sinusoidal_table(2, 8))
     with pytest.raises(ShapeError, match="position table"):
-        project_chunks(GradTape(), chunks, p, 2, sinusoidal_table(1, 8))
+        hcam_block(GradTape(), x, chunks.mean(1), chunks, p, n_heads=2,
+                   top_k=1, pos_table=sinusoidal_table(1, 8))
 
 
 # ---- small utilities ----
@@ -513,3 +515,40 @@ def test_sinusoidal_table_shape_and_range():
     assert np.max(np.abs(t)) <= 1.0
     assert np.min([np.max(np.abs(t[i] - t[j]))
                    for i in range(16) for j in range(i + 1, 16)]) > 1e-6
+
+
+def test_float32_hcam_forward_and_backward_stay_float32(monkeypatch):
+    # rows see 0, 1 and 3 chunks, so empty top-k slots, their zero weights,
+    # a pass-through row and both position terms (from a float64 table)
+    # are all on the tape
+    p = init_hcam_params(make_rng(26), 8, dtype=np.float32)
+    rng = make_rng(27)
+    x = Tensor(rng.normal(size=(2, 5, 8)).astype(np.float32))
+    chunks = rng.normal(size=(2, 4, 3, 8)).astype(np.float32)
+    seen = set()
+    emit = GradTape._emit
+
+    def recording(tape, data, inputs, bwd):
+        def checked_bwd(g):
+            grads = bwd(g)
+            seen.update(gi.dtype for gi in grads if gi is not None)
+            return grads
+
+        out = emit(tape, data, inputs, checked_bwd)
+        seen.add(out.dtype)
+        return out
+
+    monkeypatch.setattr(GradTape, "_emit", recording)
+    tape = GradTape()
+    params = [x, p.ln_gain, p.ln_bias, p.w_rel, p.mha.wq, p.mha.wk, p.mha.wv,
+              p.mha.wo]
+    for t in params:
+        tape.watch(t)
+    out = hcam_block(tape, x, chunks.mean(-2), chunks, p, n_heads=2, top_k=2,
+                     pos_table=sinusoidal_table(3, 8),
+                     visible=(np.array([0, 0, 1, 1, 0]),
+                              np.array([0, 1, 4, 4, 4])))
+    grads = tape.backward(tape.reduce_sum(tape.tanh(out)))
+    assert seen == {np.dtype(np.float32)}
+    assert all(grads[t].dtype == np.float32 for t in params)
+    assert all(np.max(np.abs(grads[t].data)) > 0 for t in params)

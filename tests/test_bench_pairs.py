@@ -1,6 +1,7 @@
 """tools/bench_pairs.py: the statistics a BENCH file reports per metric."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -28,3 +29,37 @@ def test_summary_quartiles_and_pair_wins_follow_the_metric_direction():
     assert not lower["median_gap_exceeds_parent_iqr"]
     assert tool.compare([10.0] * 3, [5.0] * 3, "lower")[
         "median_gap_exceeds_parent_iqr"]
+
+
+def test_previous_section_checks_the_parent_against_the_last_bench_file(tmp_path):
+    tool = load_tool()
+
+    def bench(commit, q1, med, q3):
+        stats = {"median": med, "q1": q1, "q3": q3}
+        return json.dumps({"sides": {"change": {"commit": commit}},
+                           "workloads": {"w": {"metrics": {
+                               "steps_per_s": {"change": stats}}}}})
+
+    assert tool.previous_bench(tmp_path, tmp_path / "BENCH_8.json") is None
+    (tmp_path / "BENCH_3.json").write_text(bench("aaa", 0.0, 0.5, 1.0))
+    (tmp_path / "BENCH_7.json").write_text(bench("bbb", 1.0, 2.0, 3.0))
+    (tmp_path / "BENCH_8.json").write_text(bench("ccc", 9.0, 9.5, 9.9))
+    (tmp_path / "BENCH_x.json").write_text("not a bench file")
+    prev = tool.previous_bench(tmp_path, tmp_path / "BENCH_8.json")
+    assert prev == tmp_path / "BENCH_7.json"
+
+    def report(parent_median):
+        return {"w": {"metrics": {
+            "steps_per_s": {"parent": {"median": parent_median}},
+            "setup_s": {"parent": {"median": 1.0}}}},
+                "other": {"metrics": {}}}
+
+    inside = tool.previous_section(prev, report(2.5))
+    assert inside["file"] == "BENCH_7.json" and inside["commit"] == "bbb"
+    row = inside["workloads"]["w"]["steps_per_s"]
+    assert (row["q1"], row["median"], row["q3"]) == (1.0, 2.0, 3.0)
+    assert row["parent_median_now"] == 2.5 and row["parent_median_within"]
+    assert "setup_s" not in inside["workloads"]["w"]  # not in the old file
+    assert inside["workloads"]["other"] == {}
+    outside = tool.previous_section(prev, report(3.5))
+    assert not outside["workloads"]["w"]["steps_per_s"]["parent_median_within"]

@@ -304,47 +304,65 @@ def test_hcam_step_equals_sequence_with_thousands_of_chunks():
     assert np.max(np.abs(a - ref)) < 1e-9
 
 
-def record_projections(monkeypatch):
-    """Chunks argument of every project_chunks call, in call order."""
-    calls = []
-    orig = attention.project_chunks
+def record_reads(monkeypatch):
+    """Per hcam_block call, in call order: the top-k selections of its runs,
+    then the stored chunks, indices and rows of its one gather."""
+    reads, sels = [], []
+    select, take = attention.top_k_select, GradTape.take_rows
 
-    def recording(tape, chunks, *args, **kwargs):
-        calls.append(chunks)
-        return orig(tape, chunks, *args, **kwargs)
+    def selecting(scores, k):
+        sels.append(select(scores, k))
+        return sels[-1]
 
-    monkeypatch.setattr(attention, "project_chunks", recording)
-    return calls
+    def taking(tape, a, idx):
+        out = take(tape, a, idx)
+        reads.append((list(sels), a.data, idx, out.data))
+        sels.clear()
+        return out
+
+    monkeypatch.setattr(attention, "top_k_select", selecting)
+    monkeypatch.setattr(GradTape, "take_rows", taking)
+    return reads
 
 
-def test_full_memory_step_projects_only_selected_chunks(monkeypatch):
+def test_full_memory_step_gathers_only_selected_chunks(monkeypatch):
     cfg = ModelConfig(kind="hcam", d_model=16, n_heads=2, n_layers=2,
                       chunk_size=4, top_k=2, local_window=4, capacity=64)
     model = Model(cfg, seed=3)
     rows = make_rng(13).normal(size=(64 * 4 + 20, 16))
     tape = GradTape(recording=False)
     _, state = forward_sequence(tape, model, Tensor(rows[None, :-20]))
-    calls = record_projections(monkeypatch)
+    reads = record_reads(monkeypatch)
     for t in range(64 * 4, len(rows)):  # 5 of these 20 steps freeze a chunk
         stack_step(tape, model, state, Tensor(rows[None, None, t]))
         assert all(m.n_chunks == 64 for m in state.memories)
-    assert len(calls) == 20 * cfg.n_layers
-    assert all(c.shape[-3] <= cfg.top_k for c in calls)
+    assert len(reads) == 20 * cfg.n_layers
+    for _sels, chunks, idx, gathered in reads:  # k of the 64 stored chunks
+        assert chunks.shape[-3] >= 64 and idx.shape == (1, cfg.top_k)
+        assert np.array_equal(gathered, chunks[0, idx[0]][None])
 
 
-def test_ballet_batch_projects_each_stored_chunk_once(monkeypatch):
-    # at batch 8 many queries pick each chunk; recall still projects every
-    # stored chunk exactly once, in storage order
+def test_ballet_batch_gathers_each_rows_top_k_chunks(monkeypatch):
+    # at batch 8 every row that sees a chunk gathers the rows of its own
+    # top-k chunks, straight from the store; the rows before the first
+    # chunk gather nothing
     model = Model(ModelConfig(kind="hcam"), seed=1)
+    k, c = model.config.top_k, model.config.chunk_size
     dancers, directions, queries, _ = ballet_batch(2, 16, 1, 0, 8)
     tape = GradTape()
     xs = encode_ballet_tokens(tape, model, dancers, directions, queries)
-    calls = record_projections(monkeypatch)
+    reads = record_reads(monkeypatch)
     _, state = forward_sequence(tape, model, xs)
-    assert len(calls) == len(state.memories) == 2
-    for chunks, mem in zip(calls, state.memories):
-        assert chunks.shape == (8, 6, 8, 64) and mem.n_chunks == 6
-        assert np.array_equal(chunks, mem.chunks)
+    assert len(reads) == len(state.memories) == 2
+    for (sels, chunks, idx, gathered), mem in zip(reads, state.memories):
+        assert mem.n_chunks == 6 and np.array_equal(chunks, mem.chunks)
+        # a run that sees one chunk fills its second slot with chunk 0
+        want = np.concatenate([np.pad(s, ((0, 0), (0, 0), (0, k - s.shape[-1])))
+                               for s in sels], axis=1)
+        assert want.shape == (8, xs.shape[1] - (c - 1), k)
+        assert np.array_equal(idx, want.reshape(8, -1))
+        assert np.array_equal(gathered.reshape(want.shape + (c, 64)),
+                              mem.chunks[np.arange(8)[:, None, None], want])
 
 
 def test_hcam_batched_matches_unbatched_rows():

@@ -18,6 +18,13 @@ change won (ties count for neither side). Seed 0 then runs once a side with
 a short budget for its output digest, which covers only the part of a run
 that does not depend on the budget.
 
+When the change's checkout holds an earlier BENCH_<n>.json (the one with
+the highest n, other than --out), a "previous" section gives, for each
+workload and metric, that file's change-side median and quartiles, and
+whether this run's parent median falls inside them: the parent here is
+normally the change measured there, so this checks that a rerun lands
+within the recorded spread.
+
 The sweep times batch-1 stack_step against a full memory of 16, 128 and
 1024 chunks (stream-recall's model at other capacities) on each side, with
 BLAS and malloc pinned as perfbench pins them, and reports the median and
@@ -80,6 +87,34 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
             if p["median"] else None,
             "median_gap_exceeds_parent_iqr":
                 sign * (c["median"] - p["median"]) > p["iqr"]}
+
+
+def previous_bench(change: Path, out: Path) -> Path | None:
+    """The highest-numbered BENCH_<n>.json in change other than out."""
+    found = [(int(p.stem[6:]), p) for p in change.glob("BENCH_*.json")
+             if p.stem[6:].isdigit() and p.resolve() != out.resolve()]
+    return max(found)[1] if found else None
+
+
+def previous_section(path: Path, workloads: dict) -> dict:
+    """Per workload and metric of this run's report: the earlier file's
+    change-side median and quartiles, and whether this run's parent median
+    lies within those quartiles."""
+    prev = json.loads(path.read_text())
+    section = {"file": path.name,
+               "commit": prev["sides"]["change"]["commit"], "workloads": {}}
+    for w, entry in workloads.items():
+        old = prev["workloads"].get(w, {}).get("metrics", {})
+        rows = {}
+        for m, stats in entry["metrics"].items():
+            if m not in old:
+                continue
+            c, now = old[m]["change"], stats["parent"]["median"]
+            rows[m] = {"median": c["median"], "q1": c["q1"], "q3": c["q3"],
+                       "parent_median_now": now,
+                       "parent_median_within": c["q1"] <= now <= c["q3"]}
+        section["workloads"][w] = rows
+    return section
 
 
 def git_head(side: Path) -> str | None:
@@ -214,6 +249,9 @@ def main(argv=None) -> int:
                 "unit": m["unit"], "better": m["better"], "bound": m["bound"],
                 **compare(vals["parent"], vals["change"], m["better"])}
         report["workloads"][w] = entry
+    prev = previous_bench(sides["change"], args.out)
+    if prev is not None:
+        report["previous"] = previous_section(prev, report["workloads"])
 
     report["digests_seed0"] = {
         w: {n: run_once(sides[n], w, 0, DIGEST_SECONDS)["digest"] for n in sides}
