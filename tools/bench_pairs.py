@@ -91,8 +91,9 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
 
 def previous_bench(change: Path, out: Path) -> Path | None:
     """The highest-numbered BENCH_<n>.json in change other than out."""
-    found = [(int(p.stem[6:]), p) for p in change.glob("BENCH_*.json")
-             if p.stem[6:].isdigit() and p.resolve() != out.resolve()]
+    found = [(int(n), p) for p in change.glob("BENCH_*.json")
+             if (n := p.stem.removeprefix("BENCH_")).isdigit()
+             and p.resolve() != out.resolve()]
     return max(found)[1] if found else None
 
 
