@@ -394,7 +394,8 @@ def _as_rows(tape: GradTape, x: Tensor, d: int):
 def _hcam_over_sequence(tape, model: Model, mem: ChunkMemory, layer: AttnLayer,
                         x: Tensor, h: Tensor,
                         counter: ScoreCounter | None) -> Tensor:
-    """Write x to the layer's memory, then recall for every position of h.
+    """Write x to the layer's memory, then recall for the positions of h,
+    which are the last h.shape[-2] positions of x.
 
     Chunk contents are the raw layer inputs x. mem.write reports how many
     chunks each position sees: a position whose write completes a chunk
@@ -405,6 +406,7 @@ def _hcam_over_sequence(tape, model: Model, mem: ChunkMemory, layer: AttnLayer,
     """
     cfg = model.config
     summaries, chunks, n_vis = mem.write(x.data)
+    n_vis = n_vis[len(n_vis) - h.shape[-2]:]
     lo = np.maximum(0, n_vis - mem.capacity)
     return hcam_block(tape, h, summaries, chunks, layer.hcam, cfg.n_heads,
                       cfg.top_k, pos_table=model.pos_chunk, counter=counter,
@@ -412,8 +414,14 @@ def _hcam_over_sequence(tape, model: Model, mem: ChunkMemory, layer: AttnLayer,
 
 
 def _forward(tape: GradTape, model: Model, xs: Tensor, state: StackState,
-             counter: ScoreCounter | None) -> Tensor:
-    """The one per-layer routine behind forward_sequence and stack_step."""
+             counter: ScoreCounter | None, last_only: bool = False) -> Tensor:
+    """The one per-layer routine behind forward_sequence and stack_step.
+
+    last_only queries the final layer at the last position only; its
+    earlier positions are keys-only context, as a carry is. Memory writes
+    and carries are built from each layer's input, so the state comes out
+    the same either way.
+    """
     cfg = model.config
     t_len = xs.shape[-2]
     batch_shape = xs.shape[:-2]
@@ -436,21 +444,29 @@ def _forward(tape: GradTape, model: Model, xs: Tensor, state: StackState,
                 state.lstm_c[li] = c2
                 x = h2
             outs.append(tape.reshape(x, batch_shape + (1, cfg.d_model)))
-        return tape.concat(outs, axis=-2)
+        return outs[-1] if last_only else tape.concat(outs, axis=-2)
 
     topk = cfg.top_k if cfg.kind == "trxl_topk" else None
     x = xs
     for li, layer in enumerate(model.layers):
         carry = state.recent[li]
-        n_carry = len(carry)
         seq = tape.concat(list(carry) + [x], axis=-2) if carry else x
+        n_carry, queries = len(carry), x
+        if last_only and li == len(model.layers) - 1:
+            # the last position sees only the last span rows
+            s_total = seq.shape[-2]
+            n_keys = min(s_total, cfg.span)
+            if n_keys < s_total:
+                seq = tape.slice_ax(seq, -2, s_total - n_keys, s_total)
+            n_carry = n_keys - 1
+            queries = tape.slice_ax(x, -2, t_len - 1, t_len)
         normed = tape.layer_norm(seq, layer.attn_ln_g, layer.attn_ln_b)
 
         if cfg.kind == "hcam":
             att = local_attention(
                 tape, normed, cfg.local_window, layer.attn, cfg.n_heads,
                 pos_table=model.pos_local, n_carry=n_carry)
-            h = tape.add(x, att)
+            h = tape.add(queries, att)
             h = _hcam_over_sequence(tape, model, state.memories[li], layer,
                                     x, h, counter)
         else:
@@ -458,7 +474,7 @@ def _forward(tape: GradTape, model: Model, xs: Tensor, state: StackState,
                 tape, normed, cfg.local_window, cfg.xl_extra_length, layer,
                 cfg.n_heads, model.pos_local, n_carry=n_carry, topk=topk,
                 counter=counter)
-            h = tape.add(x, att)
+            h = tape.add(queries, att)
         y = _mlp(tape, layer, h)
 
         # roll the per-layer carry forward by t_len steps
@@ -478,20 +494,28 @@ def forward_sequence(
     xs: Tensor,
     state: StackState | None = None,
     counter: ScoreCounter | None = None,
+    last_only: bool = False,
 ) -> tuple[Tensor, StackState]:
     """Run T timesteps at once; equals T stack_step calls to float rounding.
 
     xs is (batch..., T, d_model). state=None starts a fresh episode;
     passing the returned state continues one on the same tape.
+
+    last_only returns only the last timestep's output, (batch..., 1,
+    d_model), for a readout that reads nothing else: the final layer then
+    runs attention, recall and MLP for that one row. The returned state is
+    the same as a full call's.
     """
     cfg = model.config
     if xs.ndim < 2:
         raise ContractError("forward_sequence needs (..., T, d_model) input")
     if xs.shape[-1] != cfg.d_model:
         raise ContractError(f"input width {xs.shape[-1]} != d_model {cfg.d_model}")
+    if last_only and xs.shape[-2] == 0:
+        raise ContractError("last_only needs at least one timestep")
     if state is None:
         state = init_state(model, xs.shape[:-2])
-    return _forward(tape, model, xs, state, counter), state
+    return _forward(tape, model, xs, state, counter, last_only), state
 
 
 def stack_step(tape: GradTape, model: Model, state: StackState, x: Tensor,

@@ -370,8 +370,16 @@ class GradTape:
         d = td.shape[1]
 
         def bwd(g):
+            # np.add.at's sums without its per-element cost: a stable sort
+            # keeps each table row's gradient rows in index order, and
+            # accumulate adds them in that order, as add.at does
+            flat = idx.ravel()
+            order = np.argsort(flat, kind="stable")
+            rows, starts = np.unique(flat[order], return_index=True)
+            gs = g.reshape(-1, d)[order]
             out = np.zeros_like(td)
-            np.add.at(out, idx.ravel(), g.reshape(-1, d))
+            for r, a, b in zip(rows, starts, [*starts[1:], flat.size]):
+                out[r] = np.add.accumulate(gs[a:b], axis=0)[-1]
             return (out,)
 
         return self._emit(td[idx], (table,), bwd)
@@ -384,7 +392,7 @@ class GradTape:
         def bwd(g):
             return (g * mask,)
 
-        return self._emit(np.where(mask, a.data, 0.0), (a,), bwd)
+        return self._emit(np.maximum(a.data, 0), (a,), bwd)
 
     def tanh(self, a: Tensor) -> Tensor:
         out = np.tanh(a.data)

@@ -189,7 +189,11 @@ def _pai_step(tape, model, rc, start, count, counter):
 def evaluate(model: Model, rc: RunConfig, n_episodes: int | None = None,
              stream_offset: int = EVAL_STREAM_OFFSET,
              max_batch: int = 256) -> float:
-    """Accuracy on held-out episodes (a fixed stream disjoint from training)."""
+    """Accuracy on held-out episodes (a fixed stream disjoint from training).
+
+    Ballet episodes are run with last_only, since the readout reads only
+    the final step.
+    """
     n = rc.eval_episodes if n_episodes is None else n_episodes
     tape = GradTape(recording=False)
     correct = 0
@@ -200,7 +204,7 @@ def evaluate(model: Model, rc: RunConfig, n_episodes: int | None = None,
             dancers, directions, queries, labels = ballet_batch(
                 rc.n_dances, rc.delay, rc.seed, stream_offset + done, m)
             xs = encode_ballet_tokens(tape, model, dancers, directions, queries)
-            ys, _ = forward_sequence(tape, model, xs)
+            ys, _ = forward_sequence(tape, model, xs, last_only=True)
             logits = ballet_logits(tape, model, ys)
         else:
             pairs, probe, choices, labels = pai_batch(

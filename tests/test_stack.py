@@ -365,6 +365,85 @@ def test_ballet_batch_gathers_each_rows_top_k_chunks(monkeypatch):
                               mem.chunks[np.arange(8)[:, None, None], want])
 
 
+# ------------------------------------------------ last_only: one query row
+
+LAST_ONLY_CASES = [
+    dict(t_len=3, pre=0, xl=0),   # below one window
+    dict(t_len=20, pre=0, xl=0),  # 5 windows: the full call scores in blocks
+    dict(t_len=20, pre=9, xl=0),  # a carried-in state
+    dict(t_len=20, pre=9, xl=5),  # an XL span past the window
+]
+
+
+def last_only_model(kind, xl):
+    # small capacity with overlap, so chunks are evicted inside a call
+    cfg = ModelConfig(kind=kind, d_model=12, n_heads=2, n_layers=2,
+                      chunk_size=3, top_k=2, local_window=4, capacity=4,
+                      overlap=1, xl_extra_length=xl)
+    return Model(cfg, seed=1)
+
+
+def twin_states(tape, model, pre):
+    """Two equal states after the same pre rows (fresh ones when pre=0)."""
+    if not pre.shape[-2]:
+        return init_state(model, (2,)), init_state(model, (2,))
+    return tuple(forward_sequence(tape, model, Tensor(pre))[1] for _ in "ab")
+
+
+def assert_states_equal(a: StackState, b: StackState):
+    for ma, mb in zip(a.memories, b.memories, strict=True):
+        assert ma.n_chunks == mb.n_chunks
+        for name in ("summaries", "chunks", "buffer"):
+            assert np.array_equal(getattr(ma, name), getattr(mb, name))
+    carried_a = [t for rows in a.recent for t in rows] + a.lstm_h + a.lstm_c
+    carried_b = [t for rows in b.recent for t in rows] + b.lstm_h + b.lstm_c
+    assert len(carried_a) == len(carried_b) > 0
+    for ta, tb in zip(carried_a, carried_b):
+        assert np.array_equal(ta.data, tb.data)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("case", LAST_ONLY_CASES)
+def test_last_only_is_the_last_row_of_a_full_call(kind, case):
+    model = last_only_model(kind, case["xl"])
+    rng = make_rng(2)
+    pre = rng.normal(size=(2, case["pre"], 12))
+    xs = rng.normal(size=(2, case["t_len"], 12))
+    after = rng.normal(size=(2, 6, 12))
+    tape = GradTape(recording=False)
+    full_state, last_state = twin_states(tape, model, pre)
+    full, _ = forward_sequence(tape, model, Tensor(xs), full_state)
+    last, _ = forward_sequence(tape, model, Tensor(xs), last_state,
+                               last_only=True)
+    assert last.shape == (2, 1, 12)
+    assert np.max(np.abs(last.data - full.data[:, -1:])) < 1e-9
+    assert_states_equal(last_state, full_state)
+    # and the episode goes on exactly as it would have
+    a, _ = forward_sequence(tape, model, Tensor(after), full_state)
+    b, _ = forward_sequence(tape, model, Tensor(after), last_state)
+    assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_last_only_one_step_is_stack_step(kind):
+    model = last_only_model(kind, xl=5)
+    rng = make_rng(3)
+    pre, x = rng.normal(size=(2, 9, 12)), rng.normal(size=(2, 1, 12))
+    tape = GradTape(recording=False)
+    seq_state, step_state = twin_states(tape, model, pre)
+    y, _ = forward_sequence(tape, model, Tensor(x), seq_state, last_only=True)
+    assert np.array_equal(y.data, stack_step(tape, model, step_state,
+                                             Tensor(x)).data)
+    assert_states_equal(seq_state, step_state)
+
+
+def test_last_only_needs_a_step():
+    model = last_only_model("hcam", xl=0)
+    with pytest.raises(ContractError):
+        forward_sequence(GradTape(), model, Tensor(np.zeros((2, 0, 12))),
+                         last_only=True)
+
+
 def test_hcam_batched_matches_unbatched_rows():
     cfg = ModelConfig(kind="hcam", d_model=12, n_heads=2, n_layers=2,
                       chunk_size=4, top_k=2, local_window=5)

@@ -144,6 +144,15 @@ def test_relu_values():
     assert np.array_equal(got, [0.0, 0.0, 3.5])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_is_bitwise_the_masked_select(dtype):
+    x = make_rng(31).normal(size=(4, 7, 33)).astype(dtype)
+    x[0, 0, :5] = 0.0
+    got = tape().relu(Tensor(x)).data
+    want = np.where(x > 0, x, 0.0).astype(dtype)
+    assert got.dtype == dtype and np.array_equal(got, want)
+
+
 def test_sigmoid_extremes_are_finite_and_correct():
     got = tape().sigmoid(Tensor([-800.0, 0.0, 800.0])).data
     assert np.all(np.isfinite(got))
@@ -177,6 +186,26 @@ def test_embed_lookup_rows_and_duplicate_grad():
     want[1] = 2.0  # looked up twice
     want[3] = 1.0
     assert np.array_equal(g, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embed_lookup_grad_is_bitwise_add_at(dtype):
+    # many duplicates per row, rows 0 and 6 never looked up, and sums long
+    # enough that another addition order would move float32 results
+    rng = make_rng(32)
+    table = Tensor(rng.normal(size=(8, 16)).astype(dtype))
+    idx = rng.choice([1, 2, 3, 4, 5, 7], size=(6, 50))
+    idx[2, 7:40] = 4
+    g = (rng.normal(size=(6, 50, 16))
+         * 10.0 ** rng.integers(-4, 4, size=(6, 50, 1))).astype(dtype)
+    tp = tape()
+    tp.watch(table)
+    out = tp.embed_lookup(table, idx)
+    got = tp.backward(tp.reduce_sum(tp.multiply(out, Tensor(g))))[table].data
+    want = np.zeros_like(table.data)
+    np.add.at(want, idx.ravel(), g.reshape(-1, 16))
+    assert got.dtype == dtype and np.array_equal(got, want)
+    assert not got[[0, 6]].any()
 
 
 def test_embed_lookup_out_of_range():

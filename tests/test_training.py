@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from chunkmem import stack
 from chunkmem.errors import (
     CheckpointError,
     ContractError,
@@ -17,6 +18,7 @@ from chunkmem.stack import KINDS, TASKS, Model, ModelConfig, forward_sequence
 from chunkmem.tasks import ballet_batch, ballet_logits, encode_ballet_tokens
 from chunkmem.tensor import GradTape
 from chunkmem.training import (
+    EVAL_STREAM_OFFSET,
     METRICS_COLUMNS,
     MetricsRow,
     RunConfig,
@@ -182,6 +184,40 @@ def test_evaluate_is_deterministic():
     a = evaluate(model, rc, n_episodes=64)
     b = evaluate(model, rc, n_episodes=64)
     assert a == b
+
+
+def test_evaluate_queries_one_row_per_episode_in_the_final_layer(monkeypatch):
+    # every layer but the last queries all T rows; the last queries only
+    # the row the readout reads, against the last window of keys
+    rc = small_rc(delay=16, dtype="float64")
+    model = build_model(rc)
+    calls = []
+    for name in ("local_attention", "hcam_block"):
+        def wrapped(tape, x, *args, _name=name,
+                    _orig=getattr(stack, name), **kw):
+            out = _orig(tape, x, *args, **kw)
+            calls.append((_name, x.shape[-2], out.shape[:-1]))
+            return out
+        monkeypatch.setattr(stack, name, wrapped)
+    acc = evaluate(model, rc, n_episodes=16, max_batch=16)
+    monkeypatch.undo()
+
+    dancers, directions, queries, labels = ballet_batch(
+        rc.n_dances, rc.delay, rc.seed, EVAL_STREAM_OFFSET, 16)
+    t_len = dancers.shape[1]
+    assert t_len > rc.local_window
+    assert calls == [
+        ("local_attention", t_len, (16, t_len)),
+        ("hcam_block", t_len, (16, t_len)),
+        ("local_attention", rc.local_window, (16, 1)),
+        ("hcam_block", 1, (16, 1)),
+    ]
+    # and it scores as a full forward does
+    tape = GradTape(recording=False)
+    xs = encode_ballet_tokens(tape, model, dancers, directions, queries)
+    ys, _ = forward_sequence(tape, model, xs)
+    logits = ballet_logits(tape, model, ys).data
+    assert acc == np.mean(np.argmax(logits, axis=-1) == labels)
 
 
 # ------------------------------------------------------------- checkpoints
