@@ -13,7 +13,9 @@ never what was written.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -129,11 +131,11 @@ def _attend(
     counter gets one count per (query, key) pair scored, over all dims left
     of the head axis.
     """
-    scale = 1.0 / np.sqrt(qh.shape[-1])
+    scale = 1.0 / math.sqrt(qh.shape[-1])
     scores = tape.scale(tape.matmul(qh, tape.swap_last2(kh)), scale)
     if counter is not None:
         sh = scores.shape  # (..., h, q, s); heads share one count per pair
-        counter.add(int(np.prod(sh[:-3], dtype=np.int64)) * sh[-2] * sh[-1])
+        counter.add(math.prod(sh[:-3]) * sh[-2] * sh[-1])
 
     if key_pos is not None:
         ph, codes = key_pos
@@ -206,6 +208,34 @@ def multi_head_attention(
 MIN_WINDOWS_FOR_BLOCKS = 4
 
 
+@lru_cache(maxsize=64)
+def _local_bands(t_len: int, n_carry: int, window: int):
+    """local_attention's geometry for one input size: (n_blocks, k0, left,
+    mask, codes), with n_blocks 0 for a dense call. Cached, because a
+    stream rebuilds the same T=1 bands every step; the arrays are read-only.
+    """
+    s_total = t_len + n_carry
+    n_blocks = k0 = left = 0
+    if t_len >= MIN_WINDOWS_FOR_BLOCKS * window:
+        # Drop carried rows no query can reach, then pad so that query q
+        # sits at row window + q and the rows total (n_blocks + 1) * window:
+        # query block b then reaches only rows [b * window, (b + 2) * window).
+        n_blocks = -(-t_len // window)
+        k0 = max(0, n_carry - window + 1)
+        left = window - (n_carry - k0)
+        b = np.arange(n_blocks)[:, None, None] * window
+        gq = n_carry + b + np.arange(window)[:, None]  # global query index
+        g = k0 - left + b + np.arange(2 * window)  # global key; < k0 is padding
+    else:
+        gq = (np.arange(t_len) + n_carry)[:, None]
+        g = np.arange(s_total)
+    start = np.maximum(0, gq - window + 1)
+    mask = np.where((g >= start) & (g <= gq), 0.0, NEG_INF)
+    codes = np.clip(g - start, 0, window - 1)
+    mask.flags.writeable = codes.flags.writeable = False
+    return n_blocks, k0, left, mask, codes
+
+
 def local_attention(
     tape: GradTape,
     seq: Tensor,
@@ -233,25 +263,11 @@ def local_attention(
         raise ContractError(f"window must be >= 1, got {window}")
     s_total = seq.shape[-2]
     t_len = s_total - n_carry
-    blocked = t_len >= MIN_WINDOWS_FOR_BLOCKS * window
-    if blocked:
-        # Drop carried rows no query can reach, then pad so that query q
-        # sits at row window + q and the rows total (n_blocks + 1) * window:
-        # query block b then reaches only rows [b * window, (b + 2) * window).
-        n_blocks = -(-t_len // window)
-        k0 = max(0, n_carry - window + 1)
-        left = window - (n_carry - k0)
-        b = np.arange(n_blocks)[:, None, None] * window
-        gq = n_carry + b + np.arange(window)[:, None]  # global query index
-        g = k0 - left + b + np.arange(2 * window)  # global key; < k0 is padding
-    else:
-        gq = (np.arange(t_len) + n_carry)[:, None]
-        g = np.arange(s_total)
-    start = np.maximum(0, gq - window + 1)
-    mask = np.where((g >= start) & (g <= gq), 0.0, NEG_INF)
-    codes = None if pos_table is None else np.clip(g - start, 0, window - 1)
+    n_blocks, k0, left, mask, codes = _local_bands(t_len, n_carry, window)
+    if pos_table is None:
+        codes = None
 
-    if not blocked:
+    if not n_blocks:
         queries = tape.slice_ax(seq, -2, n_carry, s_total) if n_carry else seq
         return multi_head_attention(
             tape, queries, seq, params, n_heads, mask=mask,
@@ -313,7 +329,7 @@ def chunk_relevance(
     scores = tape.matmul(qs, tape.swap_last2(s))
     if counter is not None:
         sh = scores.shape
-        counter.add(int(np.prod(sh[:-2], dtype=np.int64)) * sh[-2] * sh[-1])
+        counter.add(math.prod(sh[:-2]) * sh[-2] * sh[-1])
     return tape.softmax(scores, axis=-1)
 
 
@@ -326,7 +342,7 @@ def top_k_select(scores: np.ndarray, k: int) -> np.ndarray:
         raise ContractError(f"top_k must be >= 1, got {k}")
     scores = np.asarray(scores)
     kk = min(k, scores.shape[-1])
-    order = np.argsort(-scores, axis=-1, kind="stable")[..., :kk]
+    order = (-scores).argsort(axis=-1, kind="stable")[..., :kk]
     return np.sort(order, axis=-1)
 
 
@@ -417,7 +433,7 @@ def hcam_block(
             w = tape.concat([w, Tensor(pad[..., k:])], axis=-1)
         weights.append(w)
         if counter is not None:
-            counter.add(int(np.prod(lead, dtype=np.int64)) * (te - ts) * k * c)
+            counter.add(math.prod(lead) * (te - ts) * k * c)
     weights = weights[0] if len(weights) == 1 else tape.concat(weights, axis=-2)
 
     # phase 2: one detail read over all rows, in input space
@@ -434,9 +450,9 @@ def hcam_block(
     wk = tape.transpose(tape.reshape(wk, (d, h, dh)), (1, 2, 0))
     wqk = tape.reshape(tape.transpose(tape.matmul(wq, wk), (1, 0, 2)),
                        (d, h * d))
-    qt = tape.matmul(normed, tape.scale(wqk, 1.0 / np.sqrt(dh)))
+    qt = tape.matmul(normed, tape.scale(wqk, 1.0 / math.sqrt(dh)))
     qt = tape.reshape(qt, (*lead, q, h, d))  # key-folded query per head
-    scores = tape.matmul(qt, Tensor(np.swapaxes(rows, -1, -2)))
+    scores = tape.matmul(qt, Tensor(rows.swapaxes(-1, -2)))
     scores = tape.reshape(scores, (*lead, q, h, kk, c))
     if pos_table is not None:
         pos = pos_table[:c].astype(x.dtype, copy=False)
@@ -450,7 +466,7 @@ def hcam_block(
     wvo = tape.matmul(wv, tape.reshape(wo, (h, dh, d)))  # (h, d, d)
     out = tape.matmul(read, tape.reshape(wvo, (h * d, d)))
     if pos_table is not None:  # sum_j att_j . (pos wv_h wo_h), for all heads
-        pvo = tape.matmul(Tensor(np.tile(pos, (kk, 1))), wvo)
+        pvo = tape.matmul(Tensor(np.concatenate([pos] * kk)), wvo)
         out = tape.add(out, tape.matmul(
             tape.reshape(att, (*lead, q, h * kk * c)),
             tape.reshape(pvo, (h * kk * c, d))))

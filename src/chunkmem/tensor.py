@@ -12,11 +12,16 @@ training code may opt into 32-bit via the dtype argument.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
+
+
+_F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
 
 
 class Tensor:
@@ -25,11 +30,15 @@ class Tensor:
     __slots__ = ("data", "_tape", "_node")
 
     def __init__(self, data, dtype=None):
-        a = np.asarray(data)
-        if dtype is not None:
-            a = a.astype(dtype, copy=False)
-        elif a.dtype not in (np.float32, np.float64):
-            a = a.astype(np.float64)
+        if (dtype is None and type(data) is np.ndarray
+                and (data.dtype is _F32 or data.dtype is _F64)):
+            a = data  # what np.asarray would return, without its cost
+        else:
+            a = np.asarray(data)
+            if dtype is not None:
+                a = a.astype(dtype, copy=False)
+            elif a.dtype not in (np.float32, np.float64):
+                a = a.astype(np.float64)
         self.data = a
         self._tape = None
         self._node = None
@@ -71,6 +80,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
+
+
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    """x.mean(axis=-1, keepdims=True) for a float x, bitwise, without the
+    per-call cost of np.mean: NumPy's mean is add.reduce, then a divide by
+    the count."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
 
 
 _FREED = object()  # marks a non-leaf gradient backward() already consumed
@@ -156,8 +172,8 @@ class GradTape:
         out = Tensor(data)
         if not self.recording:
             return out
-        ids = tuple(self._idx(x) for x in inputs)
-        if all(i is None for i in ids):
+        ids = tuple(map(self._idx, inputs))
+        if ids.count(None) == len(ids):
             return out  # pure-constant subgraph, nothing to differentiate
         out._tape = self
         out._node = len(self._nodes)
@@ -168,7 +184,7 @@ class GradTape:
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         try:
-            np.broadcast_shapes(a.shape, b.shape)
+            out = a.data + b.data
         except ValueError:
             raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}")
         ash, bsh = a.shape, b.shape
@@ -178,11 +194,11 @@ class GradTape:
             return (_unbroadcast(g, ash) if need_a else None,
                     _unbroadcast(g, bsh) if need_b else None)
 
-        return self._emit(a.data + b.data, (a, b), bwd)
+        return self._emit(out, (a, b), bwd)
 
     def subtract(self, a: Tensor, b: Tensor) -> Tensor:
         try:
-            np.broadcast_shapes(a.shape, b.shape)
+            out = a.data - b.data
         except ValueError:
             raise ShapeError(f"subtract: cannot broadcast {a.shape} with {b.shape}")
         ash, bsh = a.shape, b.shape
@@ -192,14 +208,14 @@ class GradTape:
             return (_unbroadcast(g, ash) if need_a else None,
                     _unbroadcast(-g, bsh) if need_b else None)
 
-        return self._emit(a.data - b.data, (a, b), bwd)
+        return self._emit(out, (a, b), bwd)
 
     def multiply(self, a: Tensor, b: Tensor) -> Tensor:
+        ad, bd = a.data, b.data
         try:
-            np.broadcast_shapes(a.shape, b.shape)
+            out = ad * bd
         except ValueError:
             raise ShapeError(f"multiply: cannot broadcast {a.shape} with {b.shape}")
-        ad, bd = a.data, b.data
         ash, bsh = a.shape, b.shape
         need_a, need_b = self._live(a), self._live(b)
 
@@ -207,7 +223,7 @@ class GradTape:
             return (_unbroadcast(g * bd, ash) if need_a else None,
                     _unbroadcast(g * ad, bsh) if need_b else None)
 
-        return self._emit(ad * bd, (a, b), bwd)
+        return self._emit(out, (a, b), bwd)
 
     def scale(self, a: Tensor, s: float) -> Tensor:
         s = float(s)
@@ -218,25 +234,25 @@ class GradTape:
         return self._emit(a.data * s, (a,), bwd)
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.ndim < 2 or b.ndim < 2:
-            raise ShapeError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
-        if a.shape[-1] != b.shape[-2]:
-            raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
         ad, bd = a.data, b.data
-        ash, bsh = a.shape, b.shape
+        ash, bsh = ad.shape, bd.shape
+        if len(ash) < 2 or len(bsh) < 2:
+            raise ShapeError(f"matmul needs 2-D operands, got {ash} @ {bsh}")
+        if ash[-1] != bsh[-2]:
+            raise ShapeError(f"matmul: inner dims differ, {ash} @ {bsh}")
         need_a, need_b = self._live(a), self._live(b)
 
         def bwd(g):
             da = db = None
             if need_a:
-                da = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ash)
+                da = _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ash)
             if need_b and len(bsh) == 2 and len(ash) > 2:
                 # batched x 2-D weight: collapse the batch instead of
                 # materializing a per-batch (d, d) gradient stack
                 db = np.matmul(ad.reshape(-1, ash[-1]).T,
                                g.reshape(-1, g.shape[-1]))
             elif need_b:
-                db = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bsh)
+                db = _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bsh)
             return (da, db)
 
         return self._emit(np.matmul(ad, bd), (a, b), bwd)
@@ -244,7 +260,7 @@ class GradTape:
     # ---- shape moves ----
 
     def reshape(self, a: Tensor, shape) -> Tensor:
-        ash = a.shape
+        ash = a.data.shape
 
         def bwd(g):
             return (g.reshape(ash),)
@@ -253,7 +269,7 @@ class GradTape:
 
     def transpose(self, a: Tensor, perm) -> Tensor:
         perm = tuple(perm)
-        inv = tuple(np.argsort(perm))
+        inv = tuple(sorted(range(len(perm)), key=perm.__getitem__))
 
         def bwd(g):
             return (g.transpose(inv),)
@@ -262,16 +278,16 @@ class GradTape:
 
     def swap_last2(self, a: Tensor) -> Tensor:
         def bwd(g):
-            return (np.swapaxes(g, -1, -2),)
+            return (g.swapaxes(-1, -2),)
 
-        return self._emit(np.swapaxes(a.data, -1, -2), (a,), bwd)
+        return self._emit(a.data.swapaxes(-1, -2), (a,), bwd)
 
     def concat(self, parts, axis: int = 0) -> Tensor:
         parts = list(parts)
         if not parts:
             raise ContractError("concat of an empty list")
         sizes = [p.shape[axis] for p in parts]
-        splits = np.cumsum(sizes)[:-1]
+        splits = list(accumulate(sizes))[:-1]
         need = [self._live(p) for p in parts]
 
         def bwd(g):
@@ -309,15 +325,14 @@ class GradTape:
         nrows = ad.size // w
         # flat index per (row, selected column): forward gathers with it and
         # bincount scatter-adds with it
-        lin = (np.arange(nrows, dtype=np.int64)[:, None] * w
-               + idx.reshape(nrows, -1)).ravel()
+        lin = (idx.reshape(nrows, -1)
+               + np.arange(0, nrows * w, w, dtype=np.int64)[:, None]).ravel()
 
         def bwd(g):
             out = np.bincount(lin, weights=g.ravel(), minlength=ad.size)
             return (out.reshape(ad.shape).astype(ad.dtype, copy=False),)
 
-        return self._emit(np.take(ad.reshape(-1), lin).reshape(idx.shape), (a,),
-                          bwd)
+        return self._emit(ad.reshape(-1).take(lin).reshape(idx.shape), (a,), bwd)
 
     def take_rows(self, a: Tensor, idx: np.ndarray) -> Tensor:
         """Batched row selection along one middle axis.
@@ -338,7 +353,7 @@ class GradTape:
         if idx.size and (idx.min() < 0 or idx.max() >= n):
             raise ShapeError(f"take_rows: index out of range for {n} rows")
         tail = a.shape[nl + 1:]
-        nb = int(np.prod(lead, dtype=np.int64)) if lead else 1
+        nb = math.prod(lead)
         af = a.data.reshape((nb, n) + tail)
         idf = idx.reshape(nb, -1)
         ni = idf.shape[1]
@@ -432,7 +447,7 @@ class GradTape:
             ge = np.expand_dims(g, axis) / n
             return (np.broadcast_to(ge, ash).copy(),)
 
-        return self._emit(a.data.mean(axis=axis), (a,), bwd)
+        return self._emit(np.add.reduce(a.data, axis=axis) / n, (a,), bwd)
 
     def softmax(self, a: Tensor, axis: int = -1) -> Tensor:
         x = a.data
@@ -442,9 +457,10 @@ class GradTape:
         if x.shape[axis] <= 16 and x.size >= 4096:
             m = np.expand_dims(reduce(np.maximum, np.moveaxis(x, axis, 0)), axis)
         else:
-            m = x.max(axis=axis, keepdims=True)
-        e = np.exp(x - m)
-        out = e / e.sum(axis=axis, keepdims=True)
+            m = np.maximum.reduce(x, axis=axis, keepdims=True)
+        out = x - m  # exp and normalise in place: the same ufuncs, no copies
+        np.exp(out, out=out)
+        out /= np.add.reduce(out, axis=axis, keepdims=True)
 
         def bwd(g):
             dot = (g * out).sum(axis=axis, keepdims=True)
@@ -462,17 +478,17 @@ class GradTape:
                 f"layer_norm: gain {gain.shape} / bias {bias.shape} against last dim {d}"
             )
         x = a.data
-        mu = x.mean(axis=-1, keepdims=True)
+        mu = _mean_last(x)
         xc = x - mu
-        var = (xc * xc).mean(axis=-1, keepdims=True)
+        var = _mean_last(xc * xc)
         inv = 1.0 / np.sqrt(var + eps)
         xhat = xc * inv
         gd = gain.data
 
         def bwd(g):
             gh = g * gd
-            mean_gh = gh.mean(axis=-1, keepdims=True)
-            mean_ghx = (gh * xhat).mean(axis=-1, keepdims=True)
+            mean_gh = _mean_last(gh)
+            mean_ghx = _mean_last(gh * xhat)
             dx = inv * (gh - mean_gh - xhat * mean_ghx)
             red = tuple(range(g.ndim - 1))
             dgain = (g * xhat).sum(axis=red)

@@ -63,3 +63,32 @@ def test_previous_section_checks_the_parent_against_the_last_bench_file(tmp_path
     assert inside["workloads"]["other"] == {}
     outside = tool.previous_section(prev, report(3.5))
     assert not outside["workloads"]["w"]["steps_per_s"]["parent_median_within"]
+
+
+def test_sweep_summary_takes_quartiles_over_runs_and_ratios_of_medians():
+    tool = load_tool()
+    caps = [str(c) for c in tool.CAPACITIES]
+
+    def table(p50s, means):
+        """One sweep run: per capacity, the same figures for both kinds."""
+        return {cap: {kind: {"p50_ms": p, "mean_ms": m, "steps": 7}
+                      for kind in ("freeze", "no_freeze")}
+                for cap, p, m in zip(caps, p50s, means)}
+
+    runs = [table([2.0, 2.0, 4.0], [1.0, 1.0, 1.0]),
+            table([1.0, 2.0, 8.0], [1.0, 1.0, 1.0]),
+            table([3.0, 2.0, 6.0], [1.0, 1.0, 5.0])]
+    out = tool.sweep_summary(runs)
+    small = out[caps[0]]["no_freeze"]
+    assert small["steps"] == 7 and small["p50_ms"]["runs"] == [2.0, 1.0, 3.0]
+    p = small["p50_ms"]
+    assert (p["q1"], p["median"], p["q3"]) == (1.5, 2.0, 2.5)
+    assert "ratio_to_smallest" not in out[caps[0]]
+    # from the medians (6 / 2), not the median of per-run ratios (2)
+    ratio = out[caps[-1]]["ratio_to_smallest"]
+    assert ratio["freeze"] == ratio["no_freeze"] == {"p50_ms": 3.0,
+                                                     "mean_ms": 1.0}
+    assert out[caps[1]]["ratio_to_smallest"]["no_freeze"]["p50_ms"] == 1.0
+    # a single run has no spread
+    one = tool.sweep_summary(runs[:1])[caps[-1]]["freeze"]["p50_ms"]
+    assert one["q1"] == one["median"] == one["q3"] == 4.0

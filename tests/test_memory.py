@@ -50,7 +50,19 @@ def test_summaries_are_chunk_means():
     for r in rows:
         m.write_step(r)
     s, c = m.read()
-    assert np.max(np.abs(s - c.mean(axis=1))) < 1e-12
+    assert np.array_equal(s, c.mean(axis=1))
+    # bitwise in both precisions too when batched, frozen by write and
+    # write_step, with overlap and eviction, on rows spanning 6 decades
+    scale = 10.0 ** rng.integers(-3, 4, size=(2, 45, 1))
+    for dtype in (np.float32, np.float64):
+        rows = (rng.normal(size=(2, 45, 16)) * scale).astype(dtype)
+        m = ChunkMemory(chunk_size=7, overlap=2, capacity=4)
+        m.write(rows[:, :30])
+        for t in range(30, 45):
+            m.write_step(rows[:, t])
+        s, c = m.read()
+        assert m.n_chunks == 4
+        assert s.dtype == dtype and np.array_equal(s, c.mean(axis=-2))
 
 
 def test_reset_clears_and_keeps_config_idempotently():

@@ -1,5 +1,8 @@
 """Forward-value and backward-value checks for the tape ops."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -214,9 +217,133 @@ def test_embed_lookup_out_of_range():
 
 
 def test_mean_pool_matches_numpy():
-    x = make_rng(11).normal(size=(3, 6, 2))
-    got = tape().mean_pool(Tensor(x), axis=1).data
-    assert np.max(np.abs(got - x.mean(axis=1))) < 1e-15
+    # bitwise, in both precisions, on values spanning 6 decades
+    rng = make_rng(11)
+    scale = 10.0 ** rng.integers(-3, 4, size=(3, 6, 2))
+    for dtype in (np.float64, np.float32):
+        x = (rng.normal(size=(3, 6, 2)) * scale).astype(dtype)
+        for axis in (0, 1, 2, -1):
+            got = tape().mean_pool(Tensor(x), axis=axis).data
+            assert got.dtype == dtype and np.array_equal(got, x.mean(axis=axis))
+        got = tape().mean_pool(Tensor(x[0, :, 0]), axis=0).data  # 0-d result
+        assert got.dtype == dtype and np.array_equal(got, x[0, :, 0].mean())
+
+
+def _layer_norm_by_mean(x, gain, bias, g, eps=1e-5):
+    """layer_norm's forward, and its input gradient for upstream g, written
+    with ndarray.mean."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    gh = g * gain
+    dx = inv * (gh - gh.mean(axis=-1, keepdims=True)
+                - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+    return xhat * gain + bias, dx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [1, 7, 64, 100])
+def test_layer_norm_is_bitwise_the_mean_formula(dtype, d):
+    # rows spanning 6 decades, so a different sum or divide would show
+    rng = make_rng(40)
+    x = (rng.normal(size=(3, 5, d))
+         * 10.0 ** rng.integers(-3, 4, size=(3, 5, 1))).astype(dtype)
+    gain, bias = (rng.normal(size=d).astype(dtype) for _ in range(2))
+    g = rng.normal(size=(3, 5, d)).astype(dtype)
+    tp = tape()
+    xt, gt, bt = (tp.watch(Tensor(v)) for v in (x, gain, bias))
+    out = tp.layer_norm(xt, gt, bt)
+    grads = tp.backward(tp.reduce_sum(tp.multiply(out, Tensor(g))))
+    want_out, want_dx = _layer_norm_by_mean(x, gain, bias, g)
+    assert out.dtype == dtype and np.array_equal(out.data, want_out)
+    assert grads[xt].dtype == dtype and np.array_equal(grads[xt].data, want_dx)
+
+
+# ---- fast paths: bitwise equal to the plain NumPy formulas ----
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, axis", [((3, 5, 512), -1), ((600, 8), -1),
+                                         ((4, 9, 6), 1), ((7,), 0)])
+def test_softmax_is_bitwise_the_copying_formula(dtype, shape, axis):
+    # in-place exp and divide against the formula with fresh arrays; the
+    # (600, 8) case takes the short-row maximum
+    rng = make_rng(44)
+    x = (rng.normal(size=shape) * 10.0 ** rng.integers(-2, 3, size=shape)
+         ).astype(dtype)
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    want = e / e.sum(axis=axis, keepdims=True)
+    got = tape().softmax(Tensor(x), axis=axis).data
+    assert got.dtype == dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("ndim", [2, 3, 4, 5])
+def test_transpose_backward_inverts_every_permutation(ndim):
+    rng = make_rng(42)
+    shape = (2, 3, 4, 5, 6)[:ndim]
+    x = rng.normal(size=shape)
+    for perm in itertools.permutations(range(ndim)):
+        tp = tape()
+        xt = tp.watch(Tensor(x))
+        out = tp.transpose(xt, perm)
+        assert np.array_equal(out.data, x.transpose(perm))
+        g = rng.normal(size=out.shape)
+        got = tp.backward(tp.reduce_sum(tp.multiply(out, Tensor(g))))[xt].data
+        assert np.array_equal(got, g.transpose(np.argsort(perm))), perm
+
+
+@pytest.mark.parametrize("value, want", [
+    (3, np.float64),
+    (True, np.float64),
+    (2.5, np.float64),
+    (np.int64(5), np.float64),
+    (np.array(7), np.float64),  # 0-d int array
+    (np.float32(1.5), np.float32),  # a float32 scalar keeps its precision
+    (np.arange(3, dtype=np.int32), np.float64),
+    (np.array([True, False]), np.float64),
+    (np.ones(2, dtype=np.float16), np.float64),
+    (np.ones(2, dtype=">f8"), np.float64),  # byte-swapped: made native
+    ([1, 2.5], np.float64),
+    ([[1, 2], [3, 4]], np.float64),
+])
+def test_tensor_converts_other_inputs_to_float64(value, want):
+    t = Tensor(value)
+    assert t.dtype == np.dtype(want) and t.dtype.isnative
+    assert np.array_equal(t.data, np.asarray(value, dtype=want))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tensor_adopts_a_float_ndarray_as_the_same_object(dtype):
+    a = make_rng(43).normal(size=(4, 6)).astype(dtype)
+    view = a[::2, 1:]  # not contiguous
+    ro = a.copy()
+    ro.flags.writeable = False
+    zero_d = np.array(1.25, dtype=dtype)
+    for arr in (a, view, ro, zero_d):
+        assert Tensor(arr).data is arr
+    # dtype= is honoured, copying only when the dtype changes
+    other = np.float64 if dtype == np.float32 else np.float32
+    assert Tensor(a, dtype=dtype).data is a
+    t = Tensor(a, dtype=other)
+    assert t.dtype == other and np.array_equal(t.data, a.astype(other))
+    assert Tensor([1, 2], dtype=dtype).dtype == dtype
+
+
+@pytest.mark.parametrize("recording", [True, False])
+@pytest.mark.parametrize("op", ["add", "subtract", "multiply"])
+def test_binary_ops_name_both_shapes_when_they_do_not_broadcast(op, recording):
+    tp = GradTape(recording=recording)
+    a = tp.watch(Tensor(np.ones((2, 3))))
+    b = tp.watch(Tensor(np.ones((4, 3))))
+    n = len(tp)
+    for x, y in ((a, b), (b, a), (a, Tensor(np.ones(4)))):
+        msg = f"{op}: cannot broadcast {x.shape} with {y.shape}"
+        with pytest.raises(ShapeError, match=re.escape(msg)):
+            getattr(tp, op)(x, y)
+    assert len(tp) == n
+    out = getattr(tp, op)(a, Tensor(np.ones((5, 1, 3))))  # still broadcasts
+    assert out.shape == (5, 2, 3) and len(tp) == n + recording
 
 
 def test_gather_last_values():

@@ -26,9 +26,12 @@ normally the change measured there, so this checks that a rerun lands
 within the recorded spread.
 
 The sweep times batch-1 stack_step against a full memory of 16, 128 and
-1024 chunks (stream-recall's model at other capacities) on each side, with
-BLAS and malloc pinned as perfbench pins them, and reports the median and
-mean of steps that freeze a chunk and of steps that do not.
+1024 chunks (stream-recall's model at other capacities), with BLAS and
+malloc pinned as perfbench pins them. Each run takes the median and mean
+of steps that freeze a chunk and of steps that do not. It runs
+SWEEP_RUNS times a side, in the pairs' alternated order, and the report
+gives, per capacity and kind of step, the median and quartiles of those
+runs, plus each capacity's ratio of medians to the smallest capacity's.
 
 This script imports only the standard library; the sweep runs in a child
 process (--sweep-child) that imports NumPy and the side's library.
@@ -47,6 +50,7 @@ from pathlib import Path
 
 CAPACITIES = (16, 128, 1024)
 SWEEP_STEPS = 4000   # stack_steps timed per capacity; 1 in 8 freezes
+SWEEP_RUNS = 3       # sweep runs a side, alternated like the pairs
 SWEEP_WARMUP = 64
 DIGEST_SECONDS = 2.0
 
@@ -170,21 +174,34 @@ def sweep_child() -> None:
 
 
 def run_sweep(side: Path) -> dict:
+    """One sweep run of a checkout: {capacity: {kind: {stat: value}}}."""
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--sweep-child"],
         cwd=side, capture_output=True, text=True, timeout=3600)
     if proc.returncode != 0:
         raise RuntimeError(f"{side}: sweep exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-2000:]}")
-    table = json.loads(proc.stdout.splitlines()[-1])
-    base = table[str(CAPACITIES[0])]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def sweep_summary(tables: list[dict]) -> dict:
+    """Per capacity, kind and statistic: the median and quartiles over the
+    runs' tables, and for every capacity after the smallest, the ratio of
+    its medians to the smallest capacity's."""
+    out = {}
+    for cap, kinds in tables[0].items():
+        out[cap] = {kind: {"steps": stats["steps"],
+                           **{stat: summary([t[cap][kind][stat] for t in tables])
+                              for stat in ("p50_ms", "mean_ms")}}
+                    for kind, stats in kinds.items()}
+    base = out[str(CAPACITIES[0])]
     for cap in CAPACITIES[1:]:
-        row = table[str(cap)]
+        row = out[str(cap)]
         row["ratio_to_smallest"] = {
-            kind: {stat: row[kind][stat] / base[kind][stat]
+            kind: {stat: row[kind][stat]["median"] / base[kind][stat]["median"]
                    for stat in ("p50_ms", "mean_ms")}
             for kind in ("freeze", "no_freeze")}
-    return table
+    return out
 
 
 def main(argv=None) -> int:
@@ -257,12 +274,18 @@ def main(argv=None) -> int:
     report["digests_seed0"] = {
         w: {n: run_once(sides[n], w, 0, DIGEST_SECONDS)["digest"] for n in sides}
         for w in workloads}
+    tables = {n: [] for n in sides}
+    for i in range(SWEEP_RUNS):
+        for name in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            tables[name].append(run_sweep(sides[name]))
     report["sweep"] = {
         "what": "batch-1 stack_step on a full memory that evicts on every "
                 "freeze; stream-recall's model at each capacity, seed 0, "
                 f"{SWEEP_STEPS} timed steps after {SWEEP_WARMUP} warm-up "
-                "steps, split by whether the step froze a chunk",
-        **{n: run_sweep(sides[n]) for n in sides}}
+                "steps, split by whether the step froze a chunk; "
+                f"{SWEEP_RUNS} runs a side in alternated order, each "
+                "statistic summarised over the runs",
+        **{n: sweep_summary(tables[n]) for n in sides}}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {args.out}")
     return 0
