@@ -14,7 +14,7 @@ never what was written.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -27,12 +27,19 @@ NEG_INF = -1e30  # additive mask value; survives float32 without overflow
 
 @dataclass
 class AttentionParams:
-    """Projections for one multi-head attention: d_model in, d_model out."""
+    """Projections for one multi-head attention: d_model in, d_model out.
+
+    folds keeps, per fold name, the last product built from these weights
+    alone while none of them was live on the tape (see _fold). It holds one
+    entry per fold and is rebuilt on any change to a weight's bytes, so an
+    in-place write to p.data can never be served a stale fold.
+    """
 
     wq: Tensor
     wk: Tensor
     wv: Tensor
     wo: Tensor
+    folds: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass
@@ -156,10 +163,41 @@ def _attend(
     return tape.matmul(tape.softmax(scores, axis=-1), vh)
 
 
-def _position_heads(tape: GradTape, table: np.ndarray, wk: Tensor,
+def _fold(tape: GradTape, params: AttentionParams, name: str,
+          weights: tuple, inputs: tuple, build):
+    """build(*weights): a product of weights and fixed inputs alone.
+
+    If any weight is live on the tape, it is built on the tape, so backward
+    reaches the weights. Otherwise the result is a constant, kept in
+    params.folds[name] under a key of the inputs and the shape, dtype and
+    bytes of every weight, and reused while the key matches; a miss
+    replaces the entry. A byte compare sees every in-place write to a
+    weight, by Adam.step, a finite-difference check or any caller, and the
+    reused value is bitwise the value a rebuild would give.
+    """
+    if any(tape._live(w) for w in weights):
+        return build(*weights)
+    key = (inputs,) + tuple((w.data.shape, w.data.dtype, w.data.tobytes())
+                            for w in weights)
+    hit = params.folds.get(name)
+    if hit is not None and hit[0] == key:
+        return hit[1]
+    value = build(*weights)
+    for t in value if isinstance(value, tuple) else (value,):
+        if t is not None:
+            t.data.flags.writeable = False  # shared by later calls
+    params.folds[name] = (key, value)
+    return value
+
+
+def _position_heads(tape: GradTape, table: np.ndarray, params: AttentionParams,
                     n_heads: int) -> Tensor:
     """Position table rows through the key projection: (h, n_pos, dh)."""
-    return _split_heads(tape, tape.matmul(Tensor(table), wk), n_heads)
+    table = np.asarray(table)
+    return _fold(tape, params, "position", (params.wk,),
+                 (n_heads, table.shape, table.dtype, table.tobytes()),
+                 lambda wk: _split_heads(tape, tape.matmul(Tensor(table), wk),
+                                         n_heads))
 
 
 def multi_head_attention(
@@ -194,7 +232,7 @@ def multi_head_attention(
     vh = _split_heads(tape, tape.matmul(keys_values, params.wv), n_heads)
     if key_pos is not None:
         table, codes = key_pos
-        key_pos = (_position_heads(tape, table, params.wk, n_heads), codes)
+        key_pos = (_position_heads(tape, table, params, n_heads), codes)
     out = _attend(tape, qh, kh, vh, mask=mask, key_pos=key_pos, topk=topk,
                   counter=counter)
     return tape.matmul(_merge_heads(tape, out), params.wo)
@@ -299,7 +337,7 @@ def local_attention(
                                          lead + (n_blocks, window, d)), n_heads)
     key_pos = None
     if codes is not None:  # block axis sits left of the head axis
-        key_pos = (_position_heads(tape, pos_table, params.wk, n_heads),
+        key_pos = (_position_heads(tape, pos_table, params, n_heads),
                    codes[:, None])
     out = _attend(tape, qh, key_blocks(params.wk), key_blocks(params.wv),
                   mask=mask[:, None], key_pos=key_pos, counter=counter)
@@ -333,17 +371,81 @@ def chunk_relevance(
     return tape.softmax(scores, axis=-1)
 
 
+# float dtype -> (signed integer of its width, that integer's minimum)
+_RANK_INT = {np.dtype(f): (np.dtype(i), int(np.iinfo(i).min))
+             for f, i in (("f4", "i4"), ("f8", "i8"))}
+
+
 def top_k_select(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries along the last axis, ascending.
 
-    Ties break toward the smallest index. k is clamped to the axis length.
+    k is clamped to the axis length. Ties break toward the smallest index,
+    -0.0 ties with 0.0, and NaN ranks below -inf, NaNs again by index:
+    exactly the first k of a stable descending sort.
+
+    Each row takes k rounds of a first-maximum scan, each of which marks
+    its pick with a key below every entry: O(k * N) for N entries, and no
+    sort. Rows whose entries all exceed -inf are scanned as they are, with
+    -inf marking picks. Otherwise the scan runs on integer keys in the
+    floats' order, with NaN just above the mark. Input that is not
+    float32 or float64 is ranked as float64.
     """
     if k < 1:
         raise ContractError(f"top_k must be >= 1, got {k}")
     scores = np.asarray(scores)
-    kk = min(k, scores.shape[-1])
-    order = (-scores).argsort(axis=-1, kind="stable")[..., :kk]
-    return np.sort(order, axis=-1)
+    if scores.dtype not in _RANK_INT:
+        scores = scores.astype(np.float64)
+    n = scores.shape[-1]
+    kk = min(k, n)
+    if kk == n:
+        return np.broadcast_to(np.arange(n), scores.shape).copy()
+    flat = scores.reshape(-1, n)
+    if (flat > -np.inf).all():  # no -inf, no NaN
+        key, mark = flat.copy(), -np.inf
+    else:
+        int_type, mark = _RANK_INT[flat.dtype]
+        bits = flat.view(int_type)  # sign and magnitude -> two's complement
+        key = np.where(bits < 0, mark - bits, bits)  # -0.0 and 0.0 map to 0
+        key[flat != flat] = mark + 1
+    row_start = np.arange(0, key.size, n)
+    flat_key = key.reshape(-1)
+    for _ in range(kk):  # argmax returns the first maximum
+        flat_key[key.argmax(axis=-1) + row_start] = mark
+    picked = np.flatnonzero(flat_key == mark) % n
+    return picked.reshape(scores.shape[:-1] + (kk,))
+
+
+def _recall_folds(tape: GradTape, m: AttentionParams, dtype, n_heads: int,
+                  kk: int, pos: np.ndarray | None):
+    """hcam_block's folds of its MHA weights, reused per _fold's rule:
+    (wq_h wk_h^T / sqrt(dh) for all heads, (d, h*d); wv_h wo_h stacked,
+    (h*d, d); kk copies of the position rows through every head's wv_h wo_h,
+    (h*kk*C, d), or None without position rows).
+
+    They are made in x's precision, the one they met the rows in when rows
+    were projected: pai feeds a float32 model float64 rows, and folds
+    rounded to float32 kept criterion 6's direct recall below 0.95.
+    """
+    def build(wq, wk, wv, wo):
+        d = wq.shape[0]
+        h, dh = n_heads, d // n_heads
+        zero = Tensor(np.zeros((), dtype=dtype))
+        wq, wk, wv, wo = (w if w.dtype == dtype else tape.add(zero, w)
+                          for w in (wq, wk, wv, wo))
+        wq = tape.transpose(tape.reshape(wq, (d, h, dh)), (1, 0, 2))
+        wk = tape.transpose(tape.reshape(wk, (d, h, dh)), (1, 2, 0))
+        wqk = tape.reshape(tape.transpose(tape.matmul(wq, wk), (1, 0, 2)),
+                           (d, h * d))
+        wv = tape.transpose(tape.reshape(wv, (d, h, dh)), (1, 0, 2))
+        wvo = tape.matmul(wv, tape.reshape(wo, (h, dh, d)))  # (h, d, d)
+        pvo = None if pos is None else tape.reshape(tape.matmul(
+            Tensor(np.concatenate([pos] * kk)), wvo), (h * kk * len(pos), d))
+        return (tape.scale(wqk, 1.0 / math.sqrt(dh)),
+                tape.reshape(wvo, (h * d, d)), pvo)
+
+    inputs = (dtype, n_heads, kk) + (
+        () if pos is None else (pos.shape, pos.tobytes()))
+    return _fold(tape, m, "recall", (m.wq, m.wk, m.wv, m.wo), inputs, build)
 
 
 def hcam_block(
@@ -376,6 +478,12 @@ def hcam_block(
     through wq_h wk_h^T, softmaxes per chunk, weights by relevance and sums
     the rows; only that sum passes through wv_h and wo. Position codes
     enter as C-row terms, so no stored row is ever projected.
+
+    The products of the MHA weights alone (wq_h wk_h^T, wv_h wo and the
+    position rows through it) are built once per weight value: on a tape
+    where any of those weights is live they are recorded every call;
+    otherwise the last ones built are reused while every weight's bytes and
+    x's dtype, n_heads, the slot count and the position rows match.
     """
     if isinstance(summaries, Tensor):
         summaries = summaries.data
@@ -437,39 +545,28 @@ def hcam_block(
     weights = weights[0] if len(weights) == 1 else tape.concat(weights, axis=-2)
 
     # phase 2: one detail read over all rows, in input space
-    h, dh = n_heads, d // n_heads
+    h = n_heads
     rows = tape.take_rows(Tensor(chunks), ids.reshape(*lead, q * kk))
     rows = rows.data.reshape(*lead, q, kk * c, d)
-    # fold the weights in x's precision, the one they met the rows in when
-    # rows were projected: pai feeds a float32 model float64 rows, and folds
-    # rounded to float32 kept criterion 6's direct recall below 0.95
-    m, zero = params.mha, Tensor(np.zeros((), dtype=x.dtype))
-    wq, wk, wv, wo = (w if w.dtype == x.dtype else tape.add(zero, w)
-                      for w in (m.wq, m.wk, m.wv, m.wo))
-    wq = tape.transpose(tape.reshape(wq, (d, h, dh)), (1, 0, 2))
-    wk = tape.transpose(tape.reshape(wk, (d, h, dh)), (1, 2, 0))
-    wqk = tape.reshape(tape.transpose(tape.matmul(wq, wk), (1, 0, 2)),
-                       (d, h * d))
-    qt = tape.matmul(normed, tape.scale(wqk, 1.0 / math.sqrt(dh)))
+    pos = None
+    if pos_table is not None:
+        pos = pos_table[:c].astype(x.dtype, copy=False)
+    wqk, wvo, pvo = _recall_folds(tape, params.mha, x.dtype, h, kk, pos)
+    qt = tape.matmul(normed, wqk)
     qt = tape.reshape(qt, (*lead, q, h, d))  # key-folded query per head
     scores = tape.matmul(qt, Tensor(rows.swapaxes(-1, -2)))
     scores = tape.reshape(scores, (*lead, q, h, kk, c))
-    if pos_table is not None:
-        pos = pos_table[:c].astype(x.dtype, copy=False)
+    if pos is not None:
         scores = tape.add(scores, tape.reshape(
             tape.matmul(qt, Tensor(pos.T)), (*lead, q, h, 1, c)))
     att = tape.multiply(tape.softmax(scores, axis=-1),
                         tape.reshape(weights, (*lead, q, 1, kk, 1)))
     att = tape.reshape(att, (*lead, q, h, kk * c))
     read = tape.reshape(tape.matmul(att, Tensor(rows)), (*lead, q, h * d))
-    wv = tape.transpose(tape.reshape(wv, (d, h, dh)), (1, 0, 2))
-    wvo = tape.matmul(wv, tape.reshape(wo, (h, dh, d)))  # (h, d, d)
-    out = tape.matmul(read, tape.reshape(wvo, (h * d, d)))
-    if pos_table is not None:  # sum_j att_j . (pos wv_h wo_h), for all heads
-        pvo = tape.matmul(Tensor(np.concatenate([pos] * kk)), wvo)
+    out = tape.matmul(read, wvo)
+    if pos is not None:  # sum_j att_j . (pos wv_h wo_h), for all heads
         out = tape.add(out, tape.matmul(
-            tape.reshape(att, (*lead, q, h * kk * c)),
-            tape.reshape(pvo, (h * kk * c, d))))
+            tape.reshape(att, (*lead, q, h * kk * c)), pvo))
     out = tape.add(body, out)
     if body is x:
         return out

@@ -281,12 +281,6 @@ def pai_forward(tape: GradTape, model: Model, pairs, probe,
     return tape.reshape(logits, logits.shape[:-2] + (2,))
 
 
-def pai_loss(tape: GradTape, model: Model, pairs, probe, choices,
-             labels, counter=None) -> Tensor:
-    logits = pai_forward(tape, model, pairs, probe, choices, counter=counter)
-    return tape.cross_entropy_logits(logits, np.asarray(labels))
-
-
 # ------------------------------------------------------------- episode dump
 
 def dump_episodes_jsonl(path: str, task: str, n_episodes: int, seed: int,

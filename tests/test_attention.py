@@ -288,6 +288,55 @@ def test_top_k_batched_rows_independent():
     assert np.array_equal(got, [[0, 1], [0, 2]])
 
 
+def stable_sort_top_k(scores, k):
+    """The reference selection: the first k of a stable descending sort,
+    returned ascending."""
+    scores = np.asarray(scores)
+    order = (-scores).argsort(axis=-1, kind="stable")
+    return np.sort(order[..., :min(k, scores.shape[-1])], axis=-1)
+
+
+def top_k_oracle_rows(rng, shape, dtype):
+    """Named score arrays of one shape: ties, infinities, NaN, signed zeros."""
+    special = np.array([-np.inf, np.inf, np.nan, -np.nan, -0.0, 0.0, 1.0, -1.0])
+    few_finite = np.full(shape, np.nan)
+    few_finite[..., 1::5] = -np.inf
+    few_finite[..., 0] = 0.5
+    rows = {
+        "random": rng.normal(size=shape),
+        "all equal": np.full(shape, 0.25),
+        "integer ties": rng.integers(0, 4, size=shape).astype(float),
+        "infinities": rng.choice([-np.inf, np.inf, 0.0, 2.0], size=shape),
+        "specials": rng.choice(special, size=shape),
+        "signed zeros": rng.choice([-0.0, 0.0], size=shape),
+        "all nan": np.full(shape, np.nan),
+        "all -inf": np.full(shape, -np.inf),
+        "fewer finite than k": few_finite,
+    }
+    return {name: a.astype(dtype) for name, a in rows.items()}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_top_k_select_matches_the_stable_sort_bitwise(dtype):
+    rng = make_rng(41)
+    for n in (1, 2, 3, 7, 64, 513, 2048):
+        for shape in ((n,), (3, n), (2, 3, n)):
+            for name, scores in top_k_oracle_rows(rng, shape, dtype).items():
+                for k in sorted({1, 2, 5, n - 1, n, n + 3} - {0}):
+                    got = top_k_select(scores, k)
+                    want = stable_sort_top_k(scores, k)
+                    assert got.dtype == want.dtype, (name, shape, k)
+                    assert np.array_equal(got, want), (name, shape, k)
+
+
+def test_top_k_select_ranks_nan_last_and_signed_zeros_as_ties():
+    row = np.array([np.nan, -np.inf, -0.0, np.inf, 0.0, np.nan])
+    assert np.array_equal(top_k_select(row, 3), [2, 3, 4])  # -0.0 before 0.0
+    assert np.array_equal(top_k_select(row, 4), [1, 2, 3, 4])
+    assert np.array_equal(top_k_select(row, 5), [0, 1, 2, 3, 4])
+    assert np.array_equal(top_k_select(np.full(4, np.nan), 2), [0, 1])
+
+
 # ---- the recall block ----
 
 def small_block(seed, d=8, heads=2):

@@ -65,6 +65,47 @@ def test_previous_section_checks_the_parent_against_the_last_bench_file(tmp_path
     assert not outside["workloads"]["w"]["steps_per_s"]["parent_median_within"]
 
 
+def test_previous_section_tells_host_drift_from_the_code(tmp_path):
+    tool = load_tool()
+
+    def bench(path, host_median):
+        stats = {"median": 100.0, "q1": 95.0, "q3": 105.0}  # band 0.10
+        data = {"sides": {"change": {"commit": "aaa"}},
+                "workloads": {"w": {"metrics": {"step_ms_p50": {"change": stats},
+                                                "peak_rss_mb": {"change": stats}}}}}
+        if host_median is not None:
+            data["host"] = {"reference": {"median": host_median}}
+        path.write_text(json.dumps(data))
+        return path
+
+    def report(step_ms, rss_mb):
+        return {"w": {"metrics": {
+            "step_ms_p50": {"parent": {"median": step_ms}},
+            "peak_rss_mb": {"parent": {"median": rss_mb}}}}}
+
+    def verdicts(section):
+        rows = section["workloads"]["w"]
+        return rows["step_ms_p50"]["verdict"], rows["peak_rss_mb"]["verdict"]
+
+    old = bench(tmp_path / "BENCH_1.json", 20.0)
+    # the host is 25% slower now, beyond the 10% band: an outside row is drift
+    drift = tool.previous_section(old, report(125.0, 100.0), 25.0)
+    assert drift["host_ratio"] == 1.25
+    assert verdicts(drift) == ("host_drift", "within")
+    # the host moved 5%, inside the band: the row is outside on its own
+    steady = tool.previous_section(old, report(125.0, 90.0), 21.0)
+    assert steady["host_ratio"] == 1.05
+    assert verdicts(steady) == ("outside", "outside")
+    # no reference in this run or in the earlier file
+    assert verdicts(tool.previous_section(old, report(125.0, 100.0))) == (
+        "no_reference", "within")
+    bare = bench(tmp_path / "BENCH_2.json", None)
+    section = tool.previous_section(bare, report(125.0, 100.0), 25.0)
+    assert section["host_ratio"] is None
+    assert verdicts(section) == ("no_reference", "within")
+    assert tool.host_reference_median(json.loads(old.read_text())) == 20.0
+
+
 def test_sweep_summary_takes_quartiles_over_runs_and_ratios_of_medians():
     tool = load_tool()
     caps = [str(c) for c in tool.CAPACITIES]

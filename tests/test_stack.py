@@ -1,5 +1,7 @@
 """Stack-level behavior: step/sequence equivalence, baselines, parameters."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from chunkmem.stack import (
     stack_step,
 )
 from chunkmem.memory import ChunkMemory
+from chunkmem.optim import Adam
 from chunkmem.tasks import ballet_batch, encode_ballet_tokens
 from chunkmem.tensor import GradTape, Tensor
 
@@ -484,6 +487,86 @@ def test_fresh_states_are_independent():
     run_sequence(model, make_rng(6).normal(size=(11, 8)))
     again = run_sequence(model, xs)
     assert np.array_equal(first, again)
+
+
+# ---- parameter folds kept across calls
+
+def fold_stream(seed=11):
+    """A float32 hcam model, a long-lived non-recording tape and a full
+    memory state; the steps taken leave every layer's folds kept."""
+    cfg = ModelConfig(kind="hcam", d_model=16, n_heads=2, n_layers=2,
+                      chunk_size=4, top_k=2, local_window=4, capacity=8,
+                      dtype="float32")
+    model = Model(cfg, seed=seed)
+    rows = make_rng(seed).normal(size=(41, 16)).astype(np.float32)
+    tape = GradTape(recording=False)
+    _, state = forward_sequence(tape, model, Tensor(rows[None, :36]))
+    for t in range(36, 40):
+        stack_step(tape, model, state, Tensor(rows[None, None, t]))
+    assert all(layer.attn.folds and layer.hcam.mha.folds
+               for layer in model.layers)
+    return model, tape, state, rows[None, None, 40]
+
+
+def fresh_copy(model):
+    """The same weight values in a new Model, which keeps no fold yet."""
+    return Model.from_params(model.config, {n: t.data.copy()
+                                            for n, t in model.params.items()})
+
+
+def step_kept_and_fresh(model, tape, state, x):
+    """One step from state on the long-lived tape, and one by a fresh copy
+    of the model on a fresh tape."""
+    kept = stack_step(tape, model, copy.deepcopy(state), Tensor(x)).data
+    fresh = stack_step(GradTape(recording=False), fresh_copy(model),
+                       copy.deepcopy(state), Tensor(x)).data
+    return kept, fresh
+
+
+def step_loss(tape, model, state, x):
+    y = stack_step(tape, model, copy.deepcopy(state), Tensor(x))
+    w = make_rng(5).normal(size=y.shape).astype(y.dtype)
+    return tape.reduce_sum(tape.multiply(y, Tensor(w)))
+
+
+def test_kept_folds_follow_an_adam_step():
+    model, tape, state, x = fold_stream()
+    before, fresh = step_kept_and_fresh(model, tape, state, x)
+    assert np.array_equal(before, fresh)
+    rec = GradTape()
+    model.watch_all(rec)
+    Adam(model.params, lr=1e-2).step(rec.backward(step_loss(rec, model, state, x)))
+    after, fresh = step_kept_and_fresh(model, tape, state, x)
+    assert np.array_equal(after, fresh)
+    assert not np.array_equal(after, before)
+
+
+@pytest.mark.parametrize("name", [
+    "layer0.hcam.mha.wq", "layer0.hcam.mha.wk", "layer1.hcam.mha.wv",
+    "layer1.hcam.mha.wo", "layer0.attn.wk"])
+def test_kept_folds_see_an_in_place_write(name):
+    model, tape, state, x = fold_stream()
+    before, _ = step_kept_and_fresh(model, tape, state, x)
+    model.params[name].data[...] += 1e-3
+    after, fresh = step_kept_and_fresh(model, tape, state, x)
+    assert np.array_equal(after, fresh)
+    assert not np.array_equal(after, before)
+
+
+def test_recording_tape_gradients_ignore_kept_folds():
+    model, tape, state, x = fold_stream()
+    names = [f"layer{li}.hcam.mha.{w}" for li in range(2)
+             for w in ("wq", "wk", "wv", "wo")]
+
+    def grads(m):
+        rec = GradTape()
+        m.watch_all(rec)
+        g = rec.backward(step_loss(rec, m, state, x))
+        return [g[m.params[n]].data for n in names]
+
+    for kept, fresh in zip(grads(model), grads(fresh_copy(model))):
+        assert np.any(kept != 0)
+        assert np.array_equal(kept, fresh)
 
 
 def test_stack_step_rejects_wrong_width():

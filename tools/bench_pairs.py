@@ -18,12 +18,24 @@ change won (ties count for neither side). Seed 0 then runs once a side with
 a short budget for its output digest, which covers only the part of a run
 that does not depend on the budget.
 
+Before each pair, a child process that imports only NumPy times a fixed
+loop of small matmuls and row reductions (--host-child). Its runs go under
+"host" -> "reference" in the BENCH file: a measure of the host's speed at
+the time, taken apart from the code under test.
+
 When the change's checkout holds an earlier BENCH_<n>.json (the one with
 the highest n, other than --out), a "previous" section gives, for each
 workload and metric, that file's change-side median and quartiles, and
 whether this run's parent median falls inside them: the parent here is
 normally the change measured there, so this checks that a rerun lands
-within the recorded spread.
+within the recorded spread. host_ratio is this run's reference median over
+the earlier file's, and each row gets a verdict:
+- within: the parent median lies within the earlier quartiles;
+- outside: it does not, and the reference moved by no more than the band,
+  the earlier quartile range relative to its median;
+- host_drift: it does not, and the reference moved by more than the band,
+  so the host, not the code, may explain the move;
+- no_reference: it does not, and one of the two files has no reference.
 
 The sweep times batch-1 stack_step against a full memory of 16, 128 and
 1024 chunks (stream-recall's model at other capacities), with BLAS and
@@ -53,6 +65,12 @@ SWEEP_STEPS = 4000   # stack_steps timed per capacity; 1 in 8 freezes
 SWEEP_RUNS = 3       # sweep runs a side, alternated like the pairs
 SWEEP_WARMUP = 64
 DIGEST_SECONDS = 2.0
+HOST_REPEATS = 15    # timed repeats of the host reference loop, per run
+HOST_LOOPS = 100     # loop bodies per repeat
+HOST_WHAT = (f"median ms of {HOST_REPEATS} repeats of {HOST_LOOPS} loop "
+             "bodies: a (32, 49, 64) @ (64, 64) float32 matmul, a softmax "
+             "over its last axis and an argmax and a cumulative sum over 8 "
+             "rows of 512, NumPy only, one BLAS thread, in a child process")
 
 
 def run_once(side: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -101,13 +119,33 @@ def previous_bench(change: Path, out: Path) -> Path | None:
     return max(found)[1] if found else None
 
 
-def previous_section(path: Path, workloads: dict) -> dict:
+def host_reference_median(report: dict) -> float | None:
+    return report.get("host", {}).get("reference", {}).get("median")
+
+
+def verdict(c: dict, now: float, host_ratio: float | None) -> str:
+    """within, outside, host_drift or no_reference; see the module doc."""
+    if c["q1"] <= now <= c["q3"]:
+        return "within"
+    if host_ratio is None:
+        return "no_reference"
+    band = (c["q3"] - c["q1"]) / abs(c["median"]) if c["median"] else 0.0
+    return "host_drift" if abs(host_ratio - 1.0) > band else "outside"
+
+
+def previous_section(path: Path, workloads: dict,
+                     host_median: float | None = None) -> dict:
     """Per workload and metric of this run's report: the earlier file's
-    change-side median and quartiles, and whether this run's parent median
-    lies within those quartiles."""
+    change-side median and quartiles, whether this run's parent median lies
+    within those quartiles, and the verdict given this run's host
+    reference median."""
     prev = json.loads(path.read_text())
+    before = host_reference_median(prev)
+    host_ratio = (host_median / before
+                  if host_median is not None and before else None)
     section = {"file": path.name,
-               "commit": prev["sides"]["change"]["commit"], "workloads": {}}
+               "commit": prev["sides"]["change"]["commit"],
+               "host_ratio": host_ratio, "workloads": {}}
     for w, entry in workloads.items():
         old = prev["workloads"].get(w, {}).get("metrics", {})
         rows = {}
@@ -117,7 +155,8 @@ def previous_section(path: Path, workloads: dict) -> dict:
             c, now = old[m]["change"], stats["parent"]["median"]
             rows[m] = {"median": c["median"], "q1": c["q1"], "q3": c["q3"],
                        "parent_median_now": now,
-                       "parent_median_within": c["q1"] <= now <= c["q3"]}
+                       "parent_median_within": c["q1"] <= now <= c["q3"],
+                       "verdict": verdict(c, now, host_ratio)}
         section["workloads"][w] = rows
     return section
 
@@ -126,6 +165,43 @@ def git_head(side: Path) -> str | None:
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=side,
                           capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def host_child() -> None:
+    """Print the host reference time in ms, HOST_WHAT, as one JSON line."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    from time import perf_counter
+
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((32, 49, 64)).astype(np.float32)
+    w = rng.standard_normal((64, 64)).astype(np.float32)
+    rows = rng.standard_normal((HOST_LOOPS, 8, 512)).astype(np.float32)
+    times = []
+    for _ in range(HOST_REPEATS):
+        t0 = perf_counter()
+        for i in range(HOST_LOOPS):
+            y = x @ w
+            e = np.exp(y - y.max(axis=-1, keepdims=True))
+            e /= e.sum(axis=-1, keepdims=True)
+            rows[i].argmax(axis=-1)
+            rows[i].cumsum(axis=-1)
+        times.append((perf_counter() - t0) * 1e3)
+    print(json.dumps(statistics.median(times)))
+
+
+def run_host_reference() -> float:
+    """One host reference run, in a child process that imports no library
+    code."""
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--host-child"],
+        capture_output=True, text=True, timeout=600)
+    if proc.returncode != 0:
+        raise RuntimeError(f"host reference exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-2000:]}")
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def sweep_child() -> None:
@@ -213,9 +289,13 @@ def main(argv=None) -> int:
                    help="seed of the first pair; pair i uses seed + i")
     p.add_argument("--out", type=Path)
     p.add_argument("--sweep-child", action="store_true", help=argparse.SUPPRESS)
+    p.add_argument("--host-child", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.sweep_child:
         sweep_child()
+        return 0
+    if args.host_child:
+        host_child()
         return 0
     if args.parent is None or args.change is None or args.out is None:
         p.error("--parent, --change and --out are required")
@@ -230,9 +310,12 @@ def main(argv=None) -> int:
     metrics = bench["end_to_end"]
 
     runs = {w: {"parent": [], "change": []} for w in workloads}
+    host_ms = []
     for i in range(args.pairs):
         seed = args.seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        host_ms.append(run_host_reference())
+        print(f"pair {i} host reference {host_ms[-1]:.4g} ms", flush=True)
         for w in workloads:
             for name in order:
                 r = run_once(sides[name], w, seed, seconds)
@@ -250,7 +333,8 @@ def main(argv=None) -> int:
         "sides": {name: {"path": str(given[name]), "commit": git_head(path)}
                   for name, path in sides.items()},
         "host": {"cpus": os.cpu_count(), "platform": platform.platform(),
-                 "python": platform.python_version()},
+                 "python": platform.python_version(),
+                 "reference": {"what": HOST_WHAT, **summary(host_ms)}},
         "seeds": [args.seed + i for i in range(args.pairs)],
         "order": "parent first in even pairs, change first in odd pairs",
         "quartiles": "statistics.quantiles(n=4, method='inclusive')",
@@ -269,7 +353,8 @@ def main(argv=None) -> int:
         report["workloads"][w] = entry
     prev = previous_bench(sides["change"], args.out)
     if prev is not None:
-        report["previous"] = previous_section(prev, report["workloads"])
+        report["previous"] = previous_section(
+            prev, report["workloads"], host_reference_median(report))
 
     report["digests_seed0"] = {
         w: {n: run_once(sides[n], w, 0, DIGEST_SECONDS)["digest"] for n in sides}
