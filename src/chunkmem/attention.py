@@ -400,7 +400,7 @@ def top_k_select(scores: np.ndarray, k: int) -> np.ndarray:
     if kk == n:
         return np.broadcast_to(np.arange(n), scores.shape).copy()
     flat = scores.reshape(-1, n)
-    if (flat > -np.inf).all():  # no -inf, no NaN
+    if flat.min(initial=np.inf) > -np.inf:  # no -inf, no NaN
         key, mark = flat.copy(), -np.inf
     else:
         int_type, mark = _RANK_INT[flat.dtype]

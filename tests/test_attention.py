@@ -335,6 +335,7 @@ def test_top_k_select_ranks_nan_last_and_signed_zeros_as_ties():
     assert np.array_equal(top_k_select(row, 4), [1, 2, 3, 4])
     assert np.array_equal(top_k_select(row, 5), [0, 1, 2, 3, 4])
     assert np.array_equal(top_k_select(np.full(4, np.nan), 2), [0, 1])
+    assert np.array_equal(top_k_select([3, 1, 3, 2], 2), [0, 2])  # integers
 
 
 # ---- the recall block ----
