@@ -383,12 +383,10 @@ def top_k_select(scores: np.ndarray, k: int) -> np.ndarray:
     -0.0 ties with 0.0, and NaN ranks below -inf, NaNs again by index:
     exactly the first k of a stable descending sort.
 
-    Each row takes k rounds of a first-maximum scan, each of which marks
-    its pick with a key below every entry: O(k * N) for N entries, and no
-    sort. Rows whose entries all exceed -inf are scanned as they are, with
-    -inf marking picks. Otherwise the scan runs on integer keys in the
-    floats' order, with NaN just above the mark. Input that is not
-    float32 or float64 is ranked as float64.
+    Each row takes k rounds of a first-maximum scan over integer keys in
+    the floats' order, each of which marks its pick with a key below every
+    entry: O(k * N) for N entries, and no sort. NaN keys sit just above the
+    mark. Input that is not float32 or float64 is ranked as float64.
     """
     if k < 1:
         raise ContractError(f"top_k must be >= 1, got {k}")
@@ -400,13 +398,10 @@ def top_k_select(scores: np.ndarray, k: int) -> np.ndarray:
     if kk == n:
         return np.broadcast_to(np.arange(n), scores.shape).copy()
     flat = scores.reshape(-1, n)
-    if flat.min(initial=np.inf) > -np.inf:  # no -inf, no NaN
-        key, mark = flat.copy(), -np.inf
-    else:
-        int_type, mark = _RANK_INT[flat.dtype]
-        bits = flat.view(int_type)  # sign and magnitude -> two's complement
-        key = np.where(bits < 0, mark - bits, bits)  # -0.0 and 0.0 map to 0
-        key[flat != flat] = mark + 1
+    int_type, mark = _RANK_INT[flat.dtype]
+    bits = flat.view(int_type)  # sign and magnitude -> two's complement
+    key = np.where(bits < 0, mark - bits, bits)  # -0.0 and 0.0 map to 0
+    key[flat != flat] = mark + 1
     row_start = np.arange(0, key.size, n)
     flat_key = key.reshape(-1)
     for _ in range(kk):  # argmax returns the first maximum

@@ -297,7 +297,8 @@ def stable_sort_top_k(scores, k):
 
 
 def top_k_oracle_rows(rng, shape, dtype):
-    """Named score arrays of one shape: ties, infinities, NaN, signed zeros."""
+    """Named score arrays of one shape: ties, infinities, NaN, signed zeros.
+    An integer dtype gets only the tie rows."""
     special = np.array([-np.inf, np.inf, np.nan, -np.nan, -0.0, 0.0, 1.0, -1.0])
     few_finite = np.full(shape, np.nan)
     few_finite[..., 1::5] = -np.inf
@@ -313,10 +314,12 @@ def top_k_oracle_rows(rng, shape, dtype):
         "all -inf": np.full(shape, -np.inf),
         "fewer finite than k": few_finite,
     }
+    if np.dtype(dtype).kind == "i":
+        rows = {name: rows[name] for name in ("all equal", "integer ties")}
     return {name: a.astype(dtype) for name, a in rows.items()}
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
 def test_top_k_select_matches_the_stable_sort_bitwise(dtype):
     rng = make_rng(41)
     for n in (1, 2, 3, 7, 64, 513, 2048):
@@ -327,15 +330,6 @@ def test_top_k_select_matches_the_stable_sort_bitwise(dtype):
                     want = stable_sort_top_k(scores, k)
                     assert got.dtype == want.dtype, (name, shape, k)
                     assert np.array_equal(got, want), (name, shape, k)
-
-
-def test_top_k_select_ranks_nan_last_and_signed_zeros_as_ties():
-    row = np.array([np.nan, -np.inf, -0.0, np.inf, 0.0, np.nan])
-    assert np.array_equal(top_k_select(row, 3), [2, 3, 4])  # -0.0 before 0.0
-    assert np.array_equal(top_k_select(row, 4), [1, 2, 3, 4])
-    assert np.array_equal(top_k_select(row, 5), [0, 1, 2, 3, 4])
-    assert np.array_equal(top_k_select(np.full(4, np.nan), 2), [0, 1])
-    assert np.array_equal(top_k_select([3, 1, 3, 2], 2), [0, 2])  # integers
 
 
 # ---- the recall block ----

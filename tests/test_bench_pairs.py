@@ -67,42 +67,61 @@ def test_previous_section_checks_the_parent_against_the_last_bench_file(tmp_path
 
 def test_previous_section_tells_host_drift_from_the_code(tmp_path):
     tool = load_tool()
+    units = {"step_ms_p50": "ms", "steps_per_s": "1/s", "peak_rss_mb": "MB",
+             "success_rate": "frac"}
+    band_10 = {"median": 100.0, "q1": 95.0, "q3": 105.0}
+    band_0 = {"median": 1.0, "q1": 1.0, "q3": 1.0}
 
     def bench(path, host_median):
-        stats = {"median": 100.0, "q1": 95.0, "q3": 105.0}  # band 0.10
+        metrics = {m: {"change": band_0 if m == "success_rate" else band_10}
+                   for m in units}
         data = {"sides": {"change": {"commit": "aaa"}},
-                "workloads": {"w": {"metrics": {"step_ms_p50": {"change": stats},
-                                                "peak_rss_mb": {"change": stats}}}}}
+                "workloads": {"w": {"metrics": metrics}}}
         if host_median is not None:
             data["host"] = {"reference": {"median": host_median}}
         path.write_text(json.dumps(data))
         return path
 
-    def report(step_ms, rss_mb):
-        return {"w": {"metrics": {
-            "step_ms_p50": {"parent": {"median": step_ms}},
-            "peak_rss_mb": {"parent": {"median": rss_mb}}}}}
-
-    def verdicts(section):
-        rows = section["workloads"]["w"]
-        return rows["step_ms_p50"]["verdict"], rows["peak_rss_mb"]["verdict"]
+    def verdicts(path, host_median, **medians):
+        now = {"step_ms_p50": 100.0, "steps_per_s": 100.0,
+               "peak_rss_mb": 100.0, "success_rate": 1.0, **medians}
+        report = {"w": {"metrics": {
+            m: {"unit": units[m], "parent": {"median": v}}
+            for m, v in now.items()}}}
+        section = tool.previous_section(path, report, host_median)
+        return section["host_ratio"], {
+            m: row["verdict"] for m, row in section["workloads"]["w"].items()}
 
     old = bench(tmp_path / "BENCH_1.json", 20.0)
-    # the host is 25% slower now, beyond the 10% band: an outside row is drift
-    drift = tool.previous_section(old, report(125.0, 100.0), 25.0)
-    assert drift["host_ratio"] == 1.25
-    assert verdicts(drift) == ("host_drift", "within")
+    # the host is 25% slower now, beyond the 10% band: a slower time and a
+    # lower rate are drift
+    ratio, got = verdicts(old, 25.0, step_ms_p50=125.0, steps_per_s=80.0)
+    assert ratio == 1.25
+    assert got == {"step_ms_p50": "host_drift", "steps_per_s": "host_drift",
+                   "peak_rss_mb": "within", "success_rate": "within"}
+    # a faster time or a higher rate on a slower host is the code's doing
+    _, got = verdicts(old, 25.0, step_ms_p50=80.0, steps_per_s=125.0)
+    assert got["step_ms_p50"] == got["steps_per_s"] == "outside"
+    # so is the same move on a faster host
+    _, got = verdicts(old, 16.0, step_ms_p50=125.0, steps_per_s=80.0)
+    assert got["step_ms_p50"] == got["steps_per_s"] == "outside"
+    # host speed moves neither a memory peak nor a success rate, even one
+    # with no band at all
+    _, got = verdicts(old, 25.0, peak_rss_mb=125.0, success_rate=0.9)
+    assert got["peak_rss_mb"] == got["success_rate"] == "outside"
     # the host moved 5%, inside the band: the row is outside on its own
-    steady = tool.previous_section(old, report(125.0, 90.0), 21.0)
-    assert steady["host_ratio"] == 1.05
-    assert verdicts(steady) == ("outside", "outside")
+    ratio, got = verdicts(old, 21.0, step_ms_p50=125.0, peak_rss_mb=90.0)
+    assert ratio == 1.05
+    assert got["step_ms_p50"] == got["peak_rss_mb"] == "outside"
     # no reference in this run or in the earlier file
-    assert verdicts(tool.previous_section(old, report(125.0, 100.0))) == (
-        "no_reference", "within")
+    _, got = verdicts(old, None, step_ms_p50=125.0, peak_rss_mb=125.0)
+    assert (got["step_ms_p50"], got["peak_rss_mb"]) == ("no_reference",
+                                                        "outside")
     bare = bench(tmp_path / "BENCH_2.json", None)
-    section = tool.previous_section(bare, report(125.0, 100.0), 25.0)
-    assert section["host_ratio"] is None
-    assert verdicts(section) == ("no_reference", "within")
+    ratio, got = verdicts(bare, 25.0, step_ms_p50=125.0, success_rate=0.9)
+    assert ratio is None
+    assert (got["step_ms_p50"], got["success_rate"]) == ("no_reference",
+                                                         "outside")
     assert tool.host_reference_median(json.loads(old.read_text())) == 20.0
 
 

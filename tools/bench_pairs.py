@@ -31,11 +31,15 @@ normally the change measured there, so this checks that a rerun lands
 within the recorded spread. host_ratio is this run's reference median over
 the earlier file's, and each row gets a verdict:
 - within: the parent median lies within the earlier quartiles;
-- outside: it does not, and the reference moved by no more than the band,
-  the earlier quartile range relative to its median;
-- host_drift: it does not, and the reference moved by more than the band,
-  so the host, not the code, may explain the move;
-- no_reference: it does not, and one of the two files has no reference.
+- host_drift: it does not, the metric is a time or a rate (unit s, ms or
+  1/s), the reference moved by more than the band (the earlier quartile
+  range relative to its median), and the metric moved the way that host
+  move would push it (a time up or a rate down on a slower host), so the
+  host, not the code, may explain the move;
+- no_reference: it does not, the metric is a time or a rate, and one of
+  the two files has no reference;
+- outside: any other row outside the quartiles. Host speed cannot move a
+  memory peak or a success rate.
 
 The sweep times batch-1 stack_step against a full memory of 16, 128 and
 1024 chunks (stream-recall's model at other capacities), with BLAS and
@@ -123,14 +127,24 @@ def host_reference_median(report: dict) -> float | None:
     return report.get("host", {}).get("reference", {}).get("median")
 
 
-def verdict(c: dict, now: float, host_ratio: float | None) -> str:
+# Per time or rate unit: the sign of its move when the host slows down.
+HOST_BOUND_UNITS = {"s": 1, "ms": 1, "1/s": -1}
+
+
+def verdict(c: dict, now: float, host_ratio: float | None,
+            unit: str | None) -> str:
     """within, outside, host_drift or no_reference; see the module doc."""
     if c["q1"] <= now <= c["q3"]:
         return "within"
+    slows = HOST_BOUND_UNITS.get(unit)
+    if slows is None:
+        return "outside"
     if host_ratio is None:
         return "no_reference"
     band = (c["q3"] - c["q1"]) / abs(c["median"]) if c["median"] else 0.0
-    return "host_drift" if abs(host_ratio - 1.0) > band else "outside"
+    with_host = slows * (now - c["median"]) * (host_ratio - 1.0) > 0
+    return ("host_drift" if with_host and abs(host_ratio - 1.0) > band
+            else "outside")
 
 
 def previous_section(path: Path, workloads: dict,
@@ -156,7 +170,8 @@ def previous_section(path: Path, workloads: dict,
             rows[m] = {"median": c["median"], "q1": c["q1"], "q3": c["q3"],
                        "parent_median_now": now,
                        "parent_median_within": c["q1"] <= now <= c["q3"],
-                       "verdict": verdict(c, now, host_ratio)}
+                       "verdict": verdict(c, now, host_ratio,
+                                          stats.get("unit"))}
         section["workloads"][w] = rows
     return section
 
