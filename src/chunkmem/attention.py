@@ -31,7 +31,7 @@ class AttentionParams:
 
     folds keeps, per fold name, the last product built from these weights
     alone while none of them was live on the tape (see _fold). It holds one
-    entry per fold and is rebuilt on any change to a weight's bytes, so an
+    entry per fold and is rebuilt on any change to a weight's bits, so an
     in-place write to p.data can never be served a stale fold.
     """
 
@@ -164,29 +164,35 @@ def _attend(
 
 
 def _fold(tape: GradTape, params: AttentionParams, name: str,
-          weights: tuple, inputs: tuple, build):
-    """build(*weights): a product of weights and fixed inputs alone.
+          weights: tuple, inputs: tuple, build, tables: tuple = ()):
+    """build(*weights): a product of weights, tables and inputs alone.
 
     If any weight is live on the tape, it is built on the tape, so backward
     reaches the weights. Otherwise the result is a constant, kept in
-    params.folds[name] under a key of the inputs and the shape, dtype and
-    bytes of every weight, and reused while the key matches; a miss
-    replaces the entry. A byte compare sees every in-place write to a
-    weight, by Adam.step, a finite-difference check or any caller, and the
-    reused value is bitwise the value a rebuild would give.
+    params.folds[name] with the inputs and a copy of the bits of every
+    weight and table, and reused while the inputs are equal and every
+    weight and table has its kept bits; a miss replaces the entry. A bit
+    compare sees every in-place write to a weight, by Adam.step, a
+    finite-difference check or any caller, and the reused value is bitwise
+    the value a rebuild would give.
     """
     if any(tape._live(w) for w in weights):
         return build(*weights)
-    key = (inputs,) + tuple((w.data.shape, w.data.dtype, w.data.tobytes())
-                            for w in weights)
+    arrays = [w.data for w in weights] + list(tables)
     hit = params.folds.get(name)
-    if hit is not None and hit[0] == key:
-        return hit[1]
+    # bytearray == array is one memcmp over the array's own memory: nothing
+    # is copied, -0.0 differs from 0.0, and a NaN matches only its own bits
+    if (hit is not None and hit[0] == inputs and len(hit[1]) == len(arrays)
+            and all(a.shape == shape and a.dtype == dtype
+                    and a.flags.c_contiguous and raw == a
+                    for (shape, dtype, raw), a in zip(hit[1], arrays))):
+        return hit[2]
     value = build(*weights)
     for t in value if isinstance(value, tuple) else (value,):
         if t is not None:
             t.data.flags.writeable = False  # shared by later calls
-    params.folds[name] = (key, value)
+    kept = [(a.shape, a.dtype, bytearray(a)) for a in arrays]
+    params.folds[name] = (inputs, kept, value)
     return value
 
 
@@ -194,10 +200,9 @@ def _position_heads(tape: GradTape, table: np.ndarray, params: AttentionParams,
                     n_heads: int) -> Tensor:
     """Position table rows through the key projection: (h, n_pos, dh)."""
     table = np.asarray(table)
-    return _fold(tape, params, "position", (params.wk,),
-                 (n_heads, table.shape, table.dtype, table.tobytes()),
+    return _fold(tape, params, "position", (params.wk,), (n_heads,),
                  lambda wk: _split_heads(tape, tape.matmul(Tensor(table), wk),
-                                         n_heads))
+                                         n_heads), tables=(table,))
 
 
 def multi_head_attention(
@@ -239,37 +244,45 @@ def multi_head_attention(
 
 
 # Blocked scoring pays for its extra tape ops only once the dense T x S
-# score matrix is several windows wide. At window 16, batch 32, d_model 64
+# score matrix is several reaches wide. At reach 16, batch 32, d_model 64
 # (float32, one BLAS thread, 2-CPU VM) a blocked forward + backward took
 # 1.25x the dense time at T = 49 and 0.75x at T = 64, so inputs shorter
-# than this many windows of queries are scored as one dense block.
+# than this many reaches of queries are scored as one dense block.
 MIN_WINDOWS_FOR_BLOCKS = 4
 
 
 @lru_cache(maxsize=64)
-def _local_bands(t_len: int, n_carry: int, window: int):
+def _local_bands(t_len: int, n_carry: int, window: int, reach: int):
     """local_attention's geometry for one input size: (n_blocks, k0, left,
-    mask, codes), with n_blocks 0 for a dense call. Cached, because a
-    stream rebuilds the same T=1 bands every step; the arrays are read-only.
+    mask, codes), with n_blocks 0 for a dense call. With reach > window
+    they cover the keys twice: lags window .. reach - 1 first, then lags
+    0 .. window - 1. Cached, because a stream rebuilds the same T=1 bands
+    every step; the arrays are read-only.
     """
     s_total = t_len + n_carry
     n_blocks = k0 = left = 0
-    if t_len >= MIN_WINDOWS_FOR_BLOCKS * window:
+    if t_len >= MIN_WINDOWS_FOR_BLOCKS * reach:
         # Drop carried rows no query can reach, then pad so that query q
-        # sits at row window + q and the rows total (n_blocks + 1) * window:
-        # query block b then reaches only rows [b * window, (b + 2) * window).
-        n_blocks = -(-t_len // window)
-        k0 = max(0, n_carry - window + 1)
-        left = window - (n_carry - k0)
-        b = np.arange(n_blocks)[:, None, None] * window
-        gq = n_carry + b + np.arange(window)[:, None]  # global query index
-        g = k0 - left + b + np.arange(2 * window)  # global key; < k0 is padding
+        # sits at row reach + q and the rows total (n_blocks + 1) * reach:
+        # query block b then reaches only rows [b * reach, (b + 2) * reach).
+        n_blocks = -(-t_len // reach)
+        k0 = max(0, n_carry - reach + 1)
+        left = reach - (n_carry - k0)
+        b = np.arange(n_blocks)[:, None, None] * reach
+        gq = n_carry + b + np.arange(reach)[:, None]  # global query index
+        g = k0 - left + b + np.arange(2 * reach)  # global key; < k0 is padding
     else:
         gq = (np.arange(t_len) + n_carry)[:, None]
         g = np.arange(s_total)
-    start = np.maximum(0, gq - window + 1)
-    mask = np.where((g >= start) & (g <= gq), 0.0, NEG_INF)
-    codes = np.clip(g - start, 0, window - 1)
+    start = np.maximum(0, gq - reach + 1)
+    seen = (g >= start) & (g <= gq)
+    near = seen & (g > gq - window)
+    mask = np.where(near, 0.0, NEG_INF)
+    codes = np.clip(g - start, 0, reach - 1)
+    if reach > window:
+        mask = np.concatenate([np.where(seen & ~near, 0.0, NEG_INF), mask],
+                              axis=-1)
+        codes = np.concatenate([codes, codes], axis=-1)
     mask.flags.writeable = codes.flags.writeable = False
     return n_blocks, k0, left, mask, codes
 
@@ -283,34 +296,44 @@ def local_attention(
     pos_table: np.ndarray | None = None,
     n_carry: int = 0,
     counter: ScoreCounter | None = None,
+    xl_extra: int = 0,
+    topk: int | None = None,
 ) -> Tensor:
-    """Causal attention limited to a sliding window of recent positions.
+    """Causal attention over the last reach = window + xl_extra positions.
 
     seq is (..., S, d) where the first n_carry rows are carried-in context
     (attendable, but not queried); outputs cover the last T = S - n_carry
-    rows. Position t may attend to positions max(0, t - window + 1) .. t,
-    and key codes count from the start of that window.
+    rows. Position t may attend to positions max(0, t - reach + 1) .. t,
+    and key codes count from the start of that span. Keys more than
+    window - 1 steps back come from a detached copy of seq: they pass
+    gradient to the weights, none to seq. topk keeps each head's k highest
+    scores per query; None keeps all.
 
-    Inputs shorter than MIN_WINDOWS_FOR_BLOCKS windows are scored as one
-    dense T x S block. Longer ones are projected once, then scored in
-    blocks of `window` queries, each against the 2 * window keys any of its
-    queries can reach, so scoring costs 2 * window pairs per query instead
-    of S. The counter counts the pairs scored either way.
+    Inputs shorter than MIN_WINDOWS_FOR_BLOCKS reaches are scored as one
+    dense block against all S keys, 2S with xl_extra. Longer ones are
+    projected once, then scored in blocks of `reach` queries, each against
+    the 2 * reach keys (4 * reach with xl_extra) any of its queries can
+    reach. The counter counts the pairs scored either way.
     """
     if window < 1:
         raise ContractError(f"window must be >= 1, got {window}")
     s_total = seq.shape[-2]
     t_len = s_total - n_carry
-    n_blocks, k0, left, mask, codes = _local_bands(t_len, n_carry, window)
+    reach = window + xl_extra
+    n_blocks, k0, left, mask, codes = _local_bands(t_len, n_carry, window,
+                                                   reach)
     if pos_table is None:
         codes = None
 
     if not n_blocks:
         queries = tape.slice_ax(seq, -2, n_carry, s_total) if n_carry else seq
+        keys = seq  # with XL, the detached copy first, as mask expects
+        if xl_extra:
+            keys = tape.concat([Tensor(seq.data), seq], axis=-2)
         return multi_head_attention(
-            tape, queries, seq, params, n_heads, mask=mask,
+            tape, queries, keys, params, n_heads, mask=mask,
             key_pos=None if codes is None else (pos_table, codes),
-            counter=counter)
+            topk=topk, counter=counter)
 
     d = seq.shape[-1]
     if d % n_heads != 0:
@@ -320,28 +343,34 @@ def local_attention(
     def zeros(n):
         return Tensor(np.zeros(lead + (n, d), dtype=seq.dtype))
 
-    right = n_blocks * window - t_len
+    right = n_blocks * reach - t_len
     body = tape.slice_ax(seq, -2, k0, s_total) if k0 else seq
     padded = tape.concat([zeros(left), body] + ([zeros(right)] if right else []),
                          axis=-2)
 
-    def key_blocks(w):  # (..., n_blocks, h, 2 * window, dh)
-        rows = tape.reshape(tape.matmul(padded, w),
-                            lead + (n_blocks + 1, window, d))
-        pairs = tape.concat([tape.slice_ax(rows, -3, 0, n_blocks),
-                             tape.slice_ax(rows, -3, 1, n_blocks + 1)], axis=-2)
-        return _split_heads(tape, pairs, n_heads)
+    def pairs(src, w):  # each block's 2 * reach key rows, through w
+        rows = tape.reshape(tape.matmul(src, w),
+                            lead + (n_blocks + 1, reach, d))
+        return [tape.slice_ax(rows, -3, 0, n_blocks),
+                tape.slice_ax(rows, -3, 1, n_blocks + 1)]
 
-    queries = tape.slice_ax(padded, -2, window, (n_blocks + 1) * window)
+    def key_blocks(w):  # (..., n_blocks, h, 2 * reach, dh), 4 * reach with XL
+        parts = pairs(padded, w)
+        if xl_extra:
+            parts = pairs(Tensor(padded.data), w) + parts
+        return _split_heads(tape, tape.concat(parts, axis=-2), n_heads)
+
+    queries = tape.slice_ax(padded, -2, reach, (n_blocks + 1) * reach)
     qh = _split_heads(tape, tape.reshape(tape.matmul(queries, params.wq),
-                                         lead + (n_blocks, window, d)), n_heads)
+                                         lead + (n_blocks, reach, d)), n_heads)
     key_pos = None
     if codes is not None:  # block axis sits left of the head axis
         key_pos = (_position_heads(tape, pos_table, params, n_heads),
                    codes[:, None])
     out = _attend(tape, qh, key_blocks(params.wk), key_blocks(params.wv),
-                  mask=mask[:, None], key_pos=key_pos, counter=counter)
-    out = tape.reshape(_merge_heads(tape, out), lead + (n_blocks * window, d))
+                  mask=mask[:, None], key_pos=key_pos, topk=topk,
+                  counter=counter)
+    out = tape.reshape(_merge_heads(tape, out), lead + (n_blocks * reach, d))
     if right:
         out = tape.slice_ax(out, -2, 0, t_len)
     return tape.matmul(out, params.wo)
@@ -438,9 +467,9 @@ def _recall_folds(tape: GradTape, m: AttentionParams, dtype, n_heads: int,
         return (tape.scale(wqk, 1.0 / math.sqrt(dh)),
                 tape.reshape(wvo, (h * d, d)), pvo)
 
-    inputs = (dtype, n_heads, kk) + (
-        () if pos is None else (pos.shape, pos.tobytes()))
-    return _fold(tape, m, "recall", (m.wq, m.wk, m.wv, m.wo), inputs, build)
+    return _fold(tape, m, "recall", (m.wq, m.wk, m.wv, m.wo),
+                 (dtype, n_heads, kk), build,
+                 tables=() if pos is None else (pos,))
 
 
 def hcam_block(
@@ -477,7 +506,7 @@ def hcam_block(
     The products of the MHA weights alone (wq_h wk_h^T, wv_h wo and the
     position rows through it) are built once per weight value: on a tape
     where any of those weights is live they are recorded every call;
-    otherwise the last ones built are reused while every weight's bytes and
+    otherwise the last ones built are reused while every weight's bits and
     x's dtype, n_heads, the slot count and the position rows match.
     """
     if isinstance(summaries, Tensor):

@@ -61,9 +61,16 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _parse_config_file(path: str) -> dict:
+    """The file's settings by key, converted to each flag's type. A bad
+    line raises ContractError naming path:line."""
     values = {}
-    with open(path) as f:
-        for ln, line in enumerate(f, 1):
+    with open(path, "rb") as f:
+        for ln, raw in enumerate(f, 1):
+            where = f"{path}:{ln}"
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ContractError(f"{where}: not UTF-8 text") from None
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -73,21 +80,25 @@ def _parse_config_file(path: str) -> dict:
                 key, _, value = line.partition(" ")
             key, value = key.strip(), value.strip()
             if key not in _FLAG_BY_KEY:
-                raise ContractError(
-                    f"{path}:{ln}: unknown config key {key!r}")
+                raise ContractError(f"{where}: unknown config key {key!r}")
             if not value:
-                raise ContractError(f"{path}:{ln}: no value for {key!r}")
-            values[key] = value
+                raise ContractError(f"{where}: no value for {key!r}")
+            typ = _FLAG_BY_KEY[key][1]
+            try:
+                values[key] = typ(value)
+            except ValueError:
+                raise ContractError(f"{where}: {key} needs {typ.__name__}, "
+                                    f"got {value!r}") from None
     return values
 
 
 def _run_config(args) -> RunConfig:
     kwargs = {}
     file_values = _parse_config_file(args.config) if args.config else {}
-    for flag, field, typ in _RUN_FLAGS:
+    for flag, field, _typ in _RUN_FLAGS:
         value = getattr(args, field)
-        if value is None and flag.lstrip("-") in file_values:
-            value = typ(file_values[flag.lstrip("-")])
+        if value is None:
+            value = file_values.get(flag.lstrip("-"))
         if value is not None:
             kwargs[field] = value
     return RunConfig(**kwargs)

@@ -12,7 +12,9 @@ that writes to and reads from a ChunkMemory on every step.
 
 Baselines: a TransformerXL-flavored stack (windowed attention extended by a
 gradient-stopped cache of older inputs), the same with per-head top-k score
-truncation, and a stacked LSTM.
+truncation, and a stacked LSTM. One windowed routine, local_attention,
+serves hcam and both XL baselines: the XL kinds pass it their extra span
+and top-k.
 """
 
 from __future__ import annotations
@@ -24,11 +26,9 @@ import numpy as np
 from .attention import (
     AttentionParams,
     HcamParams,
-    NEG_INF,
     ScoreCounter,
     hcam_block,
     local_attention,
-    multi_head_attention,
     scaled_uniform,
     sinusoidal_table,
 )
@@ -338,47 +338,6 @@ def _mlp(tape: GradTape, layer: AttnLayer, h: Tensor) -> Tensor:
     return tape.add(h, tape.add(tape.matmul(a, layer.w2), layer.b2))
 
 
-def _trxl_attention(
-    tape: GradTape,
-    normed: Tensor,
-    window: int,
-    xl_extra: int,
-    layer: AttnLayer,
-    n_heads: int,
-    pos_table: np.ndarray,
-    n_carry: int = 0,
-    topk: int | None = None,
-    counter: ScoreCounter | None = None,
-) -> Tensor:
-    """Causal attention over a window + XL span with gradients stopped past
-    the window. Keys appear twice (detached copy first, live copy second)
-    with complementary band masks, so one softmax normalizes the whole span.
-    """
-    span = window + xl_extra
-    s_total = normed.shape[-2]
-    t_len = s_total - n_carry
-    gq = np.arange(t_len) + n_carry
-    g = np.arange(s_total)
-    lag = gq[:, None] - g[None, :]
-    start = np.maximum(0, gq - span + 1)
-    codes = np.clip(g[None, :] - start[:, None], 0, span - 1)
-    near = np.where((lag >= 0) & (lag < window), 0.0, NEG_INF)
-
-    queries = tape.slice_ax(normed, -2, n_carry, s_total) if n_carry else normed
-    if xl_extra == 0:
-        return multi_head_attention(
-            tape, queries, normed, layer.attn, n_heads, mask=near,
-            key_pos=(pos_table, codes), topk=topk, counter=counter)
-    far = np.where((lag >= window) & (lag < span), 0.0, NEG_INF)
-    detached = Tensor(normed.data)
-    keys = tape.concat([detached, normed], axis=-2)
-    mask = np.concatenate([far, near], axis=-1)
-    codes2 = np.concatenate([codes, codes], axis=-1)
-    return multi_head_attention(
-        tape, queries, keys, layer.attn, n_heads, mask=mask,
-        key_pos=(pos_table, codes2), topk=topk, counter=counter)
-
-
 def _as_rows(tape: GradTape, x: Tensor, d: int):
     """Normalize a step input to (batch..., 1, d); returns (rows, restore)."""
     if x.shape[-1] != d:
@@ -462,19 +421,16 @@ def _forward(tape: GradTape, model: Model, xs: Tensor, state: StackState,
             queries = tape.slice_ax(x, -2, t_len - 1, t_len)
         normed = tape.layer_norm(seq, layer.attn_ln_g, layer.attn_ln_b)
 
+        # hcam's counter counts recall alone; the XL kinds count attention
+        att = local_attention(
+            tape, normed, cfg.local_window, layer.attn, cfg.n_heads,
+            pos_table=model.pos_local, n_carry=n_carry,
+            counter=None if cfg.kind == "hcam" else counter,
+            xl_extra=cfg.span - cfg.local_window, topk=topk)
+        h = tape.add(queries, att)
         if cfg.kind == "hcam":
-            att = local_attention(
-                tape, normed, cfg.local_window, layer.attn, cfg.n_heads,
-                pos_table=model.pos_local, n_carry=n_carry)
-            h = tape.add(queries, att)
             h = _hcam_over_sequence(tape, model, state.memories[li], layer,
                                     x, h, counter)
-        else:
-            att = _trxl_attention(
-                tape, normed, cfg.local_window, cfg.xl_extra_length, layer,
-                cfg.n_heads, model.pos_local, n_carry=n_carry, topk=topk,
-                counter=counter)
-            h = tape.add(queries, att)
         y = _mlp(tape, layer, h)
 
         # roll the per-layer carry forward by t_len steps

@@ -219,6 +219,61 @@ def test_local_attention_blocked_counts_block_pairs():
     assert c.scores == 3 * n_blocks * w * 2 * w
 
 
+@pytest.mark.parametrize("topk", [None, 2])
+def test_local_attention_xl_blocks_match_dense_pieces(topk):
+    # one blocked call against dense calls of a few queries each, carrying
+    # the rows before them: the same outputs, and the same gradients to the
+    # input and to every weight, the far band's detached copy included
+    rng = make_rng(14)
+    w, xl, carry = 3, 2, 4
+    reach = w + xl
+    t_len = MIN_WINDOWS_FOR_BLOCKS * reach + 3
+    pos = sinusoidal_table(reach, 8)
+    seq = rng.normal(size=(2, carry + t_len, 8))
+    g_out = rng.normal(size=(2, t_len, 8))
+    p = init_attention_params(rng, 8)
+    weights = (p.wq, p.wk, p.wv, p.wo)
+
+    def grads(pieces):
+        tape = GradTape()
+        x = Tensor(seq)
+        tape.watch(x)
+        for t in weights:
+            tape.watch(t)
+        outs = []
+        for a, b in pieces:  # queries a..b-1, counted after the carry
+            lo = max(0, carry + a - reach + 1)
+            outs.append(local_attention(
+                tape, tape.slice_ax(x, -2, lo, carry + b), w, p, n_heads=2,
+                pos_table=pos, n_carry=carry + a - lo, xl_extra=xl,
+                topk=topk))
+        y = tape.concat(outs, axis=-2) if len(outs) > 1 else outs[0]
+        g = tape.backward(tape.reduce_sum(tape.multiply(y, Tensor(g_out))))
+        return [y.data] + [g[t].data for t in (x,) + weights]
+
+    step = MIN_WINDOWS_FOR_BLOCKS * reach - 1  # each piece below blocking
+    dense = grads([(a, min(a + step, t_len)) for a in range(0, t_len, step)])
+    for got, want in zip(grads([(0, t_len)]), dense, strict=True):
+        assert np.max(np.abs(got - want)) < 1e-12
+    assert not np.all(dense[1] == 0)
+
+
+def test_local_attention_xl_counts_both_bands():
+    rng = make_rng(15)
+    p = init_attention_params(rng, 8)
+    w, xl = 3, 2
+    reach = w + xl
+    for t_len, per_query in ((MIN_WINDOWS_FOR_BLOCKS * reach - 1, None),
+                             (MIN_WINDOWS_FOR_BLOCKS * reach + 1, 4 * reach)):
+        c = ScoreCounter()
+        local_attention(GradTape(), Tensor(rng.normal(size=(3, 2 + t_len, 8))),
+                        w, p, n_heads=2, n_carry=2, counter=c, xl_extra=xl)
+        if per_query is None:  # dense: both copies of all S keys
+            assert c.scores == 3 * t_len * 2 * (2 + t_len)
+        else:  # blocked: whole blocks of reach queries
+            assert c.scores == 3 * -(-t_len // reach) * reach * per_query
+
+
 # ---- relevance and selection ----
 
 def test_chunk_relevance_matches_naive():

@@ -152,3 +152,23 @@ def test_sweep_summary_takes_quartiles_over_runs_and_ratios_of_medians():
     # a single run has no spread
     one = tool.sweep_summary(runs[:1])[caps[-1]]["freeze"]["p50_ms"]
     assert one["q1"] == one["median"] == one["q3"] == 4.0
+
+
+def test_sweep_runs_rotate_which_capacity_is_timed_first(monkeypatch):
+    tool = load_tool()
+    orders = [tool.sweep_order(i) for i in range(tool.SWEEP_RUNS)]
+    assert orders[0] == tool.CAPACITIES
+    assert all(sorted(o) == sorted(tool.CAPACITIES) for o in orders)
+    # every capacity is timed first in one run a side, not always the
+    # smallest, the denominator of ratio_to_smallest
+    assert {o[0] for o in orders} == set(tool.CAPACITIES)
+    assert tool.sweep_order(len(tool.CAPACITIES) + 1) == orders[1]
+
+    class Done:
+        returncode, stdout, stderr = 0, '{"16": {}}\n', ""
+
+    calls = []
+    monkeypatch.setattr(tool.subprocess, "run",
+                        lambda cmd, **kw: calls.append(cmd) or Done())
+    assert tool.run_sweep(Path("."), 2) == {"16": {}}
+    assert calls[0][-3:] == ["--sweep-child", "--sweep-run", "2"]

@@ -86,6 +86,21 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "error: ContractError:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, line, words", [
+    (b"dances 2\ntop-k abc\n", 2, "top-k needs int, got 'abc'"),
+    (b"# a comment\n\nlr = fast\n", 3, "lr needs float, got 'fast'"),
+    (b"steps 2\ndelay 4\nmodel hc\xe4m\n", 3, "not UTF-8 text"),
+])
+def test_bad_config_value_names_its_file_and_line(tmp_path, capsys, body,
+                                                 line, words):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(body)
+    code = main(["train", "--config", str(cfg)])
+    assert code == 2
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln]
+    assert lines == [f"error: ContractError: {cfg}:{line}: {words}"]
+
+
 def test_pai_with_one_row_chunks_is_one_line_error(capsys):
     # pai stores two-row chunks; a one-row position table would broadcast
     code = main(["train", "--task", "pai", "--chunk-size", "1", "--steps", "1"])

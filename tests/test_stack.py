@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from chunkmem import attention
-from chunkmem.attention import hcam_block, local_attention
+from chunkmem.attention import (MIN_WINDOWS_FOR_BLOCKS, ScoreCounter,
+                                hcam_block, local_attention)
 from chunkmem.errors import ContractError, ShapeError
 from chunkmem.rng import make_rng
 from chunkmem.stack import (
@@ -553,6 +554,27 @@ def test_kept_folds_see_an_in_place_write(name):
     assert not np.array_equal(after, before)
 
 
+@pytest.mark.parametrize("name, owner, fold", [
+    ("layer0.hcam.mha.wv", lambda m: m.layers[0].hcam.mha, "recall"),
+    ("layer1.attn.wk", lambda m: m.layers[1].attn, "position")])
+def test_kept_folds_compare_bits_not_values(name, owner, fold):
+    model, tape, state, x = fold_stream()
+    w, folds = model.params[name].data, owner(model).folds
+
+    def write_and_step(value):
+        w[0, 0] = value
+        stack_step(tape, model, copy.deepcopy(state), Tensor(x))
+        return folds[fold]
+
+    kept = write_and_step(0.0)
+    assert write_and_step(0.0) is kept
+    assert write_and_step(-0.0) is not kept  # equal values, other bits
+    kept = write_and_step(np.nan)
+    assert write_and_step(np.nan) is kept  # the same bits, though nan != nan
+    other_nan = np.array([0x7FC00001], dtype=np.uint32).view(np.float32)[0]
+    assert write_and_step(other_nan) is not kept
+
+
 def test_recording_tape_gradients_ignore_kept_folds():
     model, tape, state, x = fold_stream()
     names = [f"layer{li}.hcam.mha.{w}" for li in range(2)
@@ -709,6 +731,78 @@ def test_trxl_topk_one_keeps_single_key_per_head():
     want = ref_trxl_forward(xs, model.layers[0], 2, 4, 2, model.pos_local,
                             keep_top=1)
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+# Long enough that the XL kinds score in blocks: T >= MIN_WINDOWS_FOR_BLOCKS
+# reaches of window + xl_extra.
+XL_BLOCKED = dict(window=3, xl=2, t_len=MIN_WINDOWS_FOR_BLOCKS * 5 + 3)
+
+
+@pytest.mark.parametrize("topk", [False, True])
+def test_trxl_blocked_sequence_matches_reference(topk):
+    model = make_trxl_model(window=XL_BLOCKED["window"], xl=XL_BLOCKED["xl"],
+                            topk=topk)
+    xs = make_rng(17).normal(size=(XL_BLOCKED["t_len"], 8))
+    want = ref_trxl_forward(xs, model.layers[0], 2, XL_BLOCKED["window"],
+                            XL_BLOCKED["xl"], model.pos_local,
+                            keep_top=2 if topk else None)
+    assert np.max(np.abs(run_sequence(model, xs) - want)) < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["trxl", "trxl_topk"])
+def test_trxl_blocked_step_equals_sequence_and_split(kind):
+    cfg = ModelConfig(kind=kind, d_model=12, n_heads=2, n_layers=2,
+                      local_window=XL_BLOCKED["window"],
+                      xl_extra_length=XL_BLOCKED["xl"], top_k=2)
+    model = Model(cfg, seed=9)
+    t_len = XL_BLOCKED["t_len"]
+    xs = make_rng(18).normal(size=(2 * t_len, 12))
+    full = run_sequence(model, xs)
+    assert np.max(np.abs(run_steps(model, xs) - full)) < 1e-9
+    tape = GradTape()
+    h1, state = forward_sequence(tape, model, Tensor(xs[:t_len]))
+    h2, _ = forward_sequence(tape, model, Tensor(xs[t_len:]), state=state)
+    joined = np.concatenate([h1.data, h2.data], axis=0)
+    assert np.max(np.abs(full - joined)) < 1e-9
+
+
+def test_trxl_blocked_stops_gradients_past_window():
+    # as test_trxl_stops_gradients_past_window, for a call scored in blocks:
+    # rows only the far band reaches get exactly zero gradient
+    window, xl = 2, 4
+    cfg = ModelConfig(kind="trxl", d_model=8, n_heads=2, n_layers=1,
+                      local_window=window, xl_extra_length=xl)
+    model = Model(cfg, seed=3)
+    t_len = MIN_WINDOWS_FOR_BLOCKS * (window + xl) + 5
+    xs = Tensor(make_rng(19).normal(size=(t_len, 8)))
+    for t in (13, t_len - 1):
+        tape = GradTape()
+        tape.watch(xs)
+        y, _ = forward_sequence(tape, model, xs)
+        grads = tape.backward(tape.reduce_sum(tape.slice_ax(y, -2, t, t + 1)))
+        g = grads[xs].data
+        assert np.all(g[t - window + 1:t + 1] != 0)  # the window of query t
+        assert np.all(g[:t - window + 1] == 0)       # far band and beyond
+        assert np.all(g[t + 1:] == 0)                # causal
+
+
+def test_trxl_score_count_closed_form():
+    # per batch row and layer, T queries over S = T + carry keys with reach
+    # R = window + xl: dense 2 T S pairs, blocked ceil(T / R) R queries of
+    # 4 R keys each
+    window, xl = XL_BLOCKED["window"], XL_BLOCKED["xl"]
+    reach = window + xl
+    cfg = ModelConfig(kind="trxl", d_model=8, n_heads=2, n_layers=2,
+                      local_window=window, xl_extra_length=xl)
+    model = Model(cfg, seed=4)
+    for t_len, blocked in ((MIN_WINDOWS_FOR_BLOCKS * reach - 1, False),
+                           (XL_BLOCKED["t_len"], True)):
+        counter = ScoreCounter()
+        xs = make_rng(20).normal(size=(3, t_len, 8))
+        forward_sequence(GradTape(), model, Tensor(xs), counter=counter)
+        per_layer = (-(-t_len // reach) * reach * 4 * reach if blocked
+                     else 2 * t_len * t_len)
+        assert counter.scores == 3 * 2 * per_layer
 
 
 # ------------------------------------------------------------------- LSTM

@@ -45,7 +45,9 @@ The sweep times batch-1 stack_step against a full memory of 16, 128 and
 1024 chunks (stream-recall's model at other capacities), with BLAS and
 malloc pinned as perfbench pins them. Each run takes the median and mean
 of steps that freeze a chunk and of steps that do not. It runs
-SWEEP_RUNS times a side, in the pairs' alternated order, and the report
+SWEEP_RUNS times a side, in the pairs' alternated order. Run i times the
+capacities in sweep_order(i), rotated by one a run, so the erratic first
+capacity of a fresh process is a different one each run. The report
 gives, per capacity and kind of step, the median and quartiles of those
 runs, plus each capacity's ratio of medians to the smallest capacity's.
 
@@ -219,8 +221,16 @@ def run_host_reference() -> float:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def sweep_child() -> None:
-    """Print the capacity sweep of this checkout as one JSON line."""
+def sweep_order(run: int) -> tuple[int, ...]:
+    """The order in which sweep run `run` times the capacities: CAPACITIES
+    rotated left by `run`, so each capacity comes first once in every
+    len(CAPACITIES) runs."""
+    r = run % len(CAPACITIES)
+    return CAPACITIES[r:] + CAPACITIES[:r]
+
+
+def sweep_child(run: int) -> None:
+    """Print sweep run `run` of this checkout as one JSON line."""
     sys.path.insert(0, "perfbench")
     import run as perfbench_run  # pins BLAS threads before NumPy loads
 
@@ -236,7 +246,7 @@ def sweep_child() -> None:
     spec = json.loads(Path("perfbench/spec.json").read_text())
     model_spec = spec["workloads"]["stream-recall"]["model"]
     out = {}
-    for cap in CAPACITIES:
+    for cap in sweep_order(run):
         cfg = ModelConfig(**{**model_spec, "capacity": cap})
         model = Model(cfg, seed=0)
         prefill = cap * cfg.chunk_size
@@ -261,13 +271,14 @@ def sweep_child() -> None:
             kind: {"p50_ms": statistics.median(v), "mean_ms": statistics.fmean(v),
                    "steps": len(v)}
             for kind, v in times.items()}
-    print(json.dumps(out))
+    print(json.dumps({str(cap): out[str(cap)] for cap in CAPACITIES}))
 
 
-def run_sweep(side: Path) -> dict:
-    """One sweep run of a checkout: {capacity: {kind: {stat: value}}}."""
+def run_sweep(side: Path, run: int) -> dict:
+    """Sweep run `run` of a checkout: {capacity: {kind: {stat: value}}}."""
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--sweep-child"],
+        [sys.executable, str(Path(__file__).resolve()), "--sweep-child",
+         "--sweep-run", str(run)],
         cwd=side, capture_output=True, text=True, timeout=3600)
     if proc.returncode != 0:
         raise RuntimeError(f"{side}: sweep exited {proc.returncode}: "
@@ -304,10 +315,11 @@ def main(argv=None) -> int:
                    help="seed of the first pair; pair i uses seed + i")
     p.add_argument("--out", type=Path)
     p.add_argument("--sweep-child", action="store_true", help=argparse.SUPPRESS)
+    p.add_argument("--sweep-run", type=int, default=0, help=argparse.SUPPRESS)
     p.add_argument("--host-child", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.sweep_child:
-        sweep_child()
+        sweep_child(args.sweep_run)
         return 0
     if args.host_child:
         host_child()
@@ -377,14 +389,15 @@ def main(argv=None) -> int:
     tables = {n: [] for n in sides}
     for i in range(SWEEP_RUNS):
         for name in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            tables[name].append(run_sweep(sides[name]))
+            tables[name].append(run_sweep(sides[name], i))
     report["sweep"] = {
         "what": "batch-1 stack_step on a full memory that evicts on every "
                 "freeze; stream-recall's model at each capacity, seed 0, "
                 f"{SWEEP_STEPS} timed steps after {SWEEP_WARMUP} warm-up "
                 "steps, split by whether the step froze a chunk; "
-                f"{SWEEP_RUNS} runs a side in alternated order, each "
-                "statistic summarised over the runs",
+                f"{SWEEP_RUNS} runs a side in alternated order, run i timing "
+                "the capacities rotated left by i, each statistic "
+                "summarised over the runs",
         **{n: sweep_summary(tables[n]) for n in sides}}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {args.out}")
