@@ -258,22 +258,6 @@ def test_local_attention_xl_blocks_match_dense_pieces(topk):
     assert not np.all(dense[1] == 0)
 
 
-def test_local_attention_xl_counts_both_bands():
-    rng = make_rng(15)
-    p = init_attention_params(rng, 8)
-    w, xl = 3, 2
-    reach = w + xl
-    for t_len, per_query in ((MIN_WINDOWS_FOR_BLOCKS * reach - 1, None),
-                             (MIN_WINDOWS_FOR_BLOCKS * reach + 1, 4 * reach)):
-        c = ScoreCounter()
-        local_attention(GradTape(), Tensor(rng.normal(size=(3, 2 + t_len, 8))),
-                        w, p, n_heads=2, n_carry=2, counter=c, xl_extra=xl)
-        if per_query is None:  # dense: both copies of all S keys
-            assert c.scores == 3 * t_len * 2 * (2 + t_len)
-        else:  # blocked: whole blocks of reach queries
-            assert c.scores == 3 * -(-t_len // reach) * reach * per_query
-
-
 # ---- relevance and selection ----
 
 def test_chunk_relevance_matches_naive():
