@@ -55,6 +55,8 @@ print(f"tape gradient      {analytic:.8f}")
 print(f"abs diff           {abs(numeric - analytic):.2e}")
 
 # A few steps of plain gradient descent to show the gradients are usable.
+# A tape is single-use: backward consumes it, releasing everything the ops
+# saved, so each step records on a new one.
 for step in range(1, 201):
     tape = GradTape()
     for p in params.values():

@@ -125,18 +125,19 @@ def _attend(
     kh: Tensor,
     vh: Tensor,
     mask: np.ndarray | None = None,
-    key_pos: tuple[Tensor, np.ndarray] | None = None,
+    key_pos: tuple[Tensor, tuple] | None = None,
     topk: int | None = None,
     counter: ScoreCounter | None = None,
 ) -> Tensor:
     """Softmax attention on split heads.
 
     qh (..., h, q, dh) against kh/vh (..., h, s, dh); leading dims
-    broadcast. key_pos = (ph, codes) adds the score bias qh . ph[codes],
-    where ph (h, n_pos, dh) is the position table projected through the key
-    weights and codes[..., q, s] picks a row per query-key pair. The
-    counter gets one count per (query, key) pair scored, over all dims left
-    of the head axis.
+    broadcast. key_pos = (ph, (n, runs)) adds the score bias qh . ph[p],
+    for p < n, to the key the runs place position p at in each query's row
+    (see GradTape.add_placed), where ph (h, n_pos, dh) is the position
+    table projected through the key weights; other keys get no bias. The
+    counter gets one count per (query, key) pair scored, over all dims
+    left of the head axis.
     """
     scale = 1.0 / math.sqrt(qh.shape[-1])
     scores = tape.scale(tape.matmul(qh, tape.swap_last2(kh)), scale)
@@ -145,19 +146,17 @@ def _attend(
         counter.add(math.prod(sh[:-3]) * sh[-2] * sh[-1])
 
     if key_pos is not None:
-        ph, codes = key_pos
+        ph, (n, runs) = key_pos
         qp = tape.scale(tape.matmul(qh, tape.swap_last2(ph)), scale)
-        idx = np.broadcast_to(codes, qp.shape[:-1] + codes.shape[-1:])
-        scores = tape.add(scores, tape.gather_last(qp, idx))
+        scores = tape.add_placed(scores, qp, n, runs)
 
     if mask is not None:
         scores = tape.add(scores, Tensor(mask.astype(qh.dtype)))
 
     if topk is not None:
         sel = top_k_select(scores.data, topk)
-        keep = np.zeros(scores.shape, dtype=bool)
-        np.put_along_axis(keep, sel, True, axis=-1)
-        cut = np.where(keep, 0.0, NEG_INF).astype(scores.dtype)
+        cut = np.full(scores.shape, NEG_INF, dtype=scores.dtype)
+        np.put_along_axis(cut, sel, 0.0, axis=-1)
         scores = tape.add(scores, Tensor(cut))
 
     return tape.matmul(tape.softmax(scores, axis=-1), vh)
@@ -212,7 +211,7 @@ def multi_head_attention(
     params: AttentionParams,
     n_heads: int,
     mask: np.ndarray | None = None,
-    key_pos: tuple[np.ndarray, np.ndarray] | None = None,
+    key_pos: tuple[np.ndarray, tuple] | None = None,
     topk: int | None = None,
     counter: ScoreCounter | None = None,
 ) -> Tensor:
@@ -220,9 +219,10 @@ def multi_head_attention(
 
     queries (..., q, d); keys_values (..., s, d); leading dims broadcast.
     mask is additive, broadcastable to the (..., q, s) score shape.
-    key_pos = (table, codes): table rows are position encodings added to the
-    key input (post-norm, pre-projection), codes[..., q, s] indexes rows per
-    query-key pair; realized as an equivalent score-side bias.
+    key_pos = (table, (n, runs)): table rows are position encodings added
+    to the key input (post-norm, pre-projection), row p < n to the key the
+    runs place p at in each query's row (see GradTape.add_placed);
+    realized as an equivalent score-side bias.
     topk keeps only each head's k highest final scores per query (the rest
     are masked out before the softmax); None keeps everything.
     """
@@ -236,8 +236,8 @@ def multi_head_attention(
     kh = _split_heads(tape, tape.matmul(keys_values, params.wk), n_heads)
     vh = _split_heads(tape, tape.matmul(keys_values, params.wv), n_heads)
     if key_pos is not None:
-        table, codes = key_pos
-        key_pos = (_position_heads(tape, table, params, n_heads), codes)
+        table, placement = key_pos
+        key_pos = (_position_heads(tape, table, params, n_heads), placement)
     out = _attend(tape, qh, kh, vh, mask=mask, key_pos=key_pos, topk=topk,
                   counter=counter)
     return tape.matmul(_merge_heads(tape, out), params.wo)
@@ -254,10 +254,19 @@ MIN_WINDOWS_FOR_BLOCKS = 4
 @lru_cache(maxsize=64)
 def _local_bands(t_len: int, n_carry: int, window: int, reach: int):
     """local_attention's geometry for one input size: (n_blocks, k0, left,
-    mask, codes), with n_blocks 0 for a dense call. With reach > window
-    they cover the keys twice: lags window .. reach - 1 first, then lags
-    0 .. window - 1. Cached, because a stream rebuilds the same T=1 bands
-    every step; the arrays are read-only.
+    mask, placement), with n_blocks 0 for a dense call. With reach > window
+    the keys come twice, in two bands: lags window .. reach - 1 first,
+    then lags 0 .. window - 1.
+
+    A query row sees keys max(0, t - reach + 1) .. t, so position code p
+    sits at the key column of code 0 plus p, in each band. That column is
+    r + c for row r of a block (dense: of the input), except in the first
+    block's early rows, whose span is cut at key 0: there it is one fixed
+    column. placement = (n, runs) places codes 0 .. n - 1 by those runs
+    of rows (see GradTape.add_placed), per band; n is the most codes every
+    row has room for, and every code a row can see is below it. Cached,
+    because a stream rebuilds the same T=1 bands every step; the arrays
+    are read-only.
     """
     s_total = t_len + n_carry
     n_blocks = k0 = left = 0
@@ -278,13 +287,30 @@ def _local_bands(t_len: int, n_carry: int, window: int, reach: int):
     seen = (g >= start) & (g <= gq)
     near = seen & (g > gq - window)
     mask = np.where(near, 0.0, NEG_INF)
-    codes = np.clip(g - start, 0, reach - 1)
     if reach > window:
         mask = np.concatenate([np.where(seen & ~near, 0.0, NEG_INF), mask],
                               axis=-1)
-        codes = np.concatenate([codes, codes], axis=-1)
-    mask.flags.writeable = codes.flags.writeable = False
-    return n_blocks, k0, left, mask, codes
+    mask.flags.writeable = False
+
+    band, rows = g.shape[-1], gq.shape[-2]
+    off = (start - g[..., :1]).reshape(-1, rows)  # column of code 0
+    n = min(reach, band - int(off.max()))
+    c = int(off[-1, -1]) - (rows - 1)
+    early = int(np.count_nonzero(off[0] != np.arange(rows) + c))
+
+    def ix(blocks, r0, r1):  # blocked scores are (..., block, h, row, key)
+        return (blocks, slice(None), slice(r0, r1)) if n_blocks else (
+            slice(r0, r1),)
+
+    runs = []
+    for shift in range(0, 2 * band if reach > window else band, band):
+        if early:
+            runs.append((ix(slice(0, 1), 0, early), int(off[0, 0]) + shift, 0))
+            if n_blocks > 1:
+                runs.append((ix(slice(1, None), 0, early), c + shift, 1))
+        if early < rows:
+            runs.append((ix(slice(None), early, rows), early + c + shift, 1))
+    return n_blocks, k0, left, mask, (n, tuple(runs))
 
 
 def local_attention(
@@ -319,11 +345,12 @@ def local_attention(
         raise ContractError(f"window must be >= 1, got {window}")
     s_total = seq.shape[-2]
     t_len = s_total - n_carry
+    if t_len < 1:
+        raise ContractError(f"local_attention needs a query row: {s_total} "
+                            f"rows, {n_carry} of them carried")
     reach = window + xl_extra
-    n_blocks, k0, left, mask, codes = _local_bands(t_len, n_carry, window,
-                                                   reach)
-    if pos_table is None:
-        codes = None
+    n_blocks, k0, left, mask, placement = _local_bands(t_len, n_carry,
+                                                       window, reach)
 
     if not n_blocks:
         queries = tape.slice_ax(seq, -2, n_carry, s_total) if n_carry else seq
@@ -332,7 +359,7 @@ def local_attention(
             keys = tape.concat([Tensor(seq.data), seq], axis=-2)
         return multi_head_attention(
             tape, queries, keys, params, n_heads, mask=mask,
-            key_pos=None if codes is None else (pos_table, codes),
+            key_pos=None if pos_table is None else (pos_table, placement),
             topk=topk, counter=counter)
 
     d = seq.shape[-1]
@@ -364,9 +391,9 @@ def local_attention(
     qh = _split_heads(tape, tape.reshape(tape.matmul(queries, params.wq),
                                          lead + (n_blocks, reach, d)), n_heads)
     key_pos = None
-    if codes is not None:  # block axis sits left of the head axis
+    if pos_table is not None:
         key_pos = (_position_heads(tape, pos_table, params, n_heads),
-                   codes[:, None])
+                   placement)
     out = _attend(tape, qh, key_blocks(params.wk), key_blocks(params.wv),
                   mask=mask[:, None], key_pos=key_pos, topk=topk,
                   counter=counter)

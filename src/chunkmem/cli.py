@@ -20,6 +20,7 @@ from .training import (
     RunConfig,
     evaluate,
     load_checkpoint,
+    model_config,
     train,
 )
 
@@ -61,8 +62,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _parse_config_file(path: str) -> dict:
-    """The file's settings by key, converted to each flag's type. A bad
-    line raises ContractError naming path:line."""
+    """The file's settings by key, as (value converted to the flag's type,
+    line number). A bad line raises ContractError naming path:line."""
     values = {}
     with open(path, "rb") as f:
         for ln, raw in enumerate(f, 1):
@@ -85,23 +86,48 @@ def _parse_config_file(path: str) -> dict:
                 raise ContractError(f"{where}: no value for {key!r}")
             typ = _FLAG_BY_KEY[key][1]
             try:
-                values[key] = typ(value)
+                values[key] = (typ(value), ln)
             except ValueError:
                 raise ContractError(f"{where}: {key} needs {typ.__name__}, "
                                     f"got {value!r}") from None
     return values
 
 
+def _checked(kwargs: dict) -> RunConfig:
+    """The run config, once it and the model config it makes are valid."""
+    rc = RunConfig(**kwargs)
+    model_config(rc)
+    return rc
+
+
 def _run_config(args) -> RunConfig:
-    kwargs = {}
+    """Flags, then the config file for what they leave unset. When the
+    result is invalid, the file's values are dropped back to their
+    defaults from the last line up; if one drop makes it valid, the error
+    names that value's path:line, with the error it met there. Otherwise
+    the flags are at fault, and the error is the one first raised."""
+    kwargs, from_file = {}, []
     file_values = _parse_config_file(args.config) if args.config else {}
     for flag, field, _typ in _RUN_FLAGS:
         value = getattr(args, field)
-        if value is None:
-            value = file_values.get(flag.lstrip("-"))
+        if value is None and flag.lstrip("-") in file_values:
+            value, line = file_values[flag.lstrip("-")]
+            from_file.append((line, field))
         if value is not None:
             kwargs[field] = value
-    return RunConfig(**kwargs)
+    try:
+        return _checked(kwargs)
+    except ContractError as e:
+        first = err = e
+    for line, field in sorted(from_file, reverse=True):
+        del kwargs[field]
+        try:
+            _checked(kwargs)
+        except ContractError as e:
+            err = e
+            continue
+        raise ContractError(f"{args.config}:{line}: {err}") from None
+    raise first
 
 
 def _require_writable(path: str | None) -> None:

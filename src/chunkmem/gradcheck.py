@@ -168,6 +168,14 @@ def _op_cases(rng):
     case("cross_entropy_logits_sum", {"a": 2.0 * r(4, 5)},
          lambda tp, v: tp.cross_entropy_logits(v["a"], ce_t, reduction="sum"))
 
+    # two bands of 3 columns; b's first 2 columns go to columns 0, 0 and 1
+    # of rows 0, 1 and 2 in both, and its last column is not read
+    runs = [((slice(0, 1),), col, 0) for col in (0, 3)] + [
+        ((slice(1, 3),), col, 1) for col in (0, 3)]
+    case("add_placed", {"a": r(2, 3, 6), "b": r(2, 3, 3)},
+         lambda tp, v: tp.reduce_sum(tp.tanh(
+             tp.add_placed(v["a"], v["b"], 2, runs))))
+
     return cases
 
 

@@ -17,6 +17,7 @@ from functools import reduce
 from itertools import accumulate
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractError, ShapeError
 
@@ -92,6 +93,17 @@ def _mean_last(x: np.ndarray) -> np.ndarray:
 _FREED = object()  # marks a non-leaf gradient backward() already consumed
 
 
+class _SpentNodes(list):
+    """A spent tape's node list: it holds nothing and takes no new node."""
+
+    def append(self, node):
+        raise ContractError("this tape already ran backward; record on a new "
+                            "GradTape")
+
+
+_SPENT = _SpentNodes()
+
+
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -150,9 +162,9 @@ class GradTape:
             return t
         if t._tape is self and t._node is not None:
             return t
-        t._tape = self
-        t._node = len(self._nodes)
         self._nodes.append(((), None))
+        t._tape = self
+        t._node = len(self._nodes) - 1
         return t
 
     def _idx(self, t: Tensor):
@@ -333,6 +345,54 @@ class GradTape:
             return (out.reshape(ad.shape).astype(ad.dtype, copy=False),)
 
         return self._emit(ad.reshape(-1).take(lin).reshape(idx.shape), (a,), bwd)
+
+    def add_placed(self, a: Tensor, b: Tensor, n: int, runs) -> Tensor:
+        """a plus b's first n columns, placed along a's last axis by row.
+
+        a is (..., rows, w) and b (..., rows, nb) with the same leading
+        dims, n <= nb. Each run is (index, col, slope), slope 0 or 1: index,
+        a tuple of basic slices over a's last dims up to the rows axis,
+        picks the run's rows, and its i-th row gets b's row added at
+        columns col + slope * i onward. Every other entry is a's. Each run
+        is one strided view, so no index is built, and nothing is kept for
+        backward, which reads the gradient back at the same places, run by
+        run. b's columns from n on get a zero gradient.
+        """
+        ad, bd = a.data, b.data
+        if (ad.ndim < 2 or bd.shape[:-1] != ad.shape[:-1]
+                or not 0 <= n <= bd.shape[-1]):
+            raise ShapeError(f"add_placed: {n} columns of {b.shape} "
+                             f"into {a.shape}")
+        rows, w = ad.shape[-2:]
+        for index, col, slope in runs:
+            m = len(range(rows)[index[-1]])  # the run's rows
+            if slope not in (0, 1) or col < 0 or (
+                    m and col + slope * (m - 1) + n > w):
+                raise ShapeError(f"add_placed: {m} rows from column {col} "
+                                 f"at slope {slope} leave {w} columns")
+
+        def view(x, index, col, slope):  # row i: columns col + slope * i ..
+            sub = x[(Ellipsis,) + index + (slice(col, None),)]
+            st = sub.strides
+            return as_strided(sub, sub.shape[:-1] + (n,),
+                              st[:-2] + (st[-2] + slope * st[-1], st[-1]))
+
+        out = ad.copy()
+        for index, col, slope in runs:
+            placed = view(out, index, col, slope)
+            placed += bd[(Ellipsis,) + index + (slice(0, n),)]
+        need_a, need_b = self._live(a), self._live(b)
+
+        def bwd(g):
+            gb = None
+            if need_b:  # zeros first: a -0.0 read back sums to 0.0
+                gb = np.zeros(bd.shape, dtype=bd.dtype)
+                for index, col, slope in runs:
+                    gb[(Ellipsis,) + index + (slice(0, n),)] += \
+                        view(g, index, col, slope)
+            return (g if need_a else None, gb)
+
+        return self._emit(out, (a, b), bwd)
 
     def take_rows(self, a: Tensor, idx: np.ndarray) -> Tensor:
         """Batched row selection along one middle axis.
@@ -542,27 +602,33 @@ class GradTape:
     # ---- reverse pass ----
 
     def backward(self, loss: Tensor) -> Gradients:
-        """Walk the tape once in reverse from a scalar loss.
+        """Walk the tape once in reverse from a scalar loss; a tape is
+        single-use, and a second call raises ContractError.
 
         Each intermediate gradient is dropped as soon as its node has passed
         it on to the node's inputs, so at most the gradients still waiting
         to be consumed are alive at once; only watched leaves keep theirs.
+        The walk consumes the tape: each node's backward closure, and with
+        it every array the op saved, is dropped once the walk has passed
+        the node, run or not, so a spent tape holds nothing.
         """
+        if self._nodes is _SPENT:
+            raise ContractError("backward already ran on this tape")
         if not self.recording:
             raise ContractError("tape was created with recording=False")
         if loss.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
         if loss._tape is not self or loss._node is None:
             raise ContractError("loss was not produced by this tape")
-        grads = [None] * len(self._nodes)
+        nodes, self._nodes = self._nodes, _SPENT
+        grads = [None] * len(nodes)
+        del nodes[loss._node + 1:]  # recorded after the loss: never reached
         grads[loss._node] = np.ones_like(loss.data)
         for i in range(loss._node, -1, -1):
+            ids, bwd = nodes.pop()
             g = grads[i]
-            if g is None:
-                continue
-            ids, bwd = self._nodes[i]
-            if bwd is None:
-                continue  # a leaf keeps its gradient
+            if g is None or bwd is None:
+                continue  # unreached, or a leaf, which keeps its gradient
             grads[i] = _FREED
             for j, c in zip(ids, bwd(g)):
                 if j is None:

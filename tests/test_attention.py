@@ -160,6 +160,13 @@ def test_local_attention_window_zero_raises():
         local_attention(GradTape(), Tensor(np.zeros((3, 8))), 0, p, n_heads=2)
 
 
+def test_local_attention_with_every_row_carried_raises():
+    p = init_attention_params(make_rng(10), 8)
+    with pytest.raises(ContractError, match="needs a query row"):
+        local_attention(GradTape(), Tensor(np.zeros((2, 3, 8))), 4, p,
+                        n_heads=2, pos_table=sinusoidal_table(4, 8), n_carry=3)
+
+
 def test_local_attention_position_codes_change_scores():
     rng = make_rng(11)
     p = init_attention_params(rng, 8)
@@ -206,6 +213,78 @@ def test_local_attention_blocked_matches_windowed_reference(n_carry):
     for b in range(2):
         want = windowed_reference(seq[b], n_carry, w, p, 2, pos)
         assert np.max(np.abs(got[b] - want)) < 1e-10
+
+
+def clipped_codes(t_len, n_carry, window, reach):
+    """Every score's position code in local_attention's layout, clipped to
+    [0, reach) where the query cannot see the key: (rows, keys) dense,
+    (n_blocks, 1, reach, keys) blocked, both bands' keys with XL."""
+    blocked = t_len >= MIN_WINDOWS_FOR_BLOCKS * reach
+    if blocked:
+        b = np.arange(-(-t_len // reach))[:, None, None] * reach
+        gq = n_carry + b + np.arange(reach)[:, None]
+        g = n_carry - reach + b + np.arange(2 * reach)
+    else:
+        gq = (np.arange(t_len) + n_carry)[:, None]
+        g = np.arange(t_len + n_carry)
+    codes = np.clip(g - np.maximum(0, gq - reach + 1), 0, reach - 1)
+    if reach > window:
+        codes = np.concatenate([codes, codes], axis=-1)
+    return codes[:, None] if blocked else codes
+
+
+class GatheredBiasTape(GradTape):
+    """Adds local attention's position bias by gathering each score's
+    position score through a code per (query, key) pair."""
+
+    def __init__(self, codes):
+        super().__init__()
+        self.codes = codes
+
+    def add_placed(self, a, b, n, runs):
+        idx = np.broadcast_to(self.codes,
+                              b.shape[:-1] + self.codes.shape[-1:])
+        return self.add(a, self.gather_last(b, idx))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("window, xl, topk, t_len, n_carry", [
+    (4, 0, None, 9, 2),  # dense
+    (6, 0, None, 2, 1),  # dense, fewer keys than the window
+    (3, 0, None, MIN_WINDOWS_FOR_BLOCKS * 3 + 2, 0),  # blocked
+    (3, 0, None, MIN_WINDOWS_FOR_BLOCKS * 3 + 2, 5),  # blocked, carry
+    (4, 0, None, 1, 3),  # last_only's final-layer call
+    (3, 2, None, 1, 4),  # and with XL
+    (3, 2, None, 11, 3),  # XL dense
+    (3, 2, None, MIN_WINDOWS_FOR_BLOCKS * 5 + 3, 4),  # XL blocked
+    (3, 2, 2, 11, 3),  # XL with top-k
+    (3, 2, 2, MIN_WINDOWS_FOR_BLOCKS * 5 + 3, 4),
+])
+def test_placed_position_bias_equals_gathered_codes_bitwise(
+        window, xl, topk, t_len, n_carry, dtype):
+    rng = make_rng(15)
+    p = init_attention_params(rng, 8, dtype=dtype)
+    pos = sinusoidal_table(window + xl, 8, dtype=dtype)
+    seq = rng.normal(size=(2, n_carry + t_len, 8)).astype(dtype)
+    g_out = rng.normal(size=(2, t_len, 8)).astype(dtype)
+    weights = (p.wq, p.wk, p.wv, p.wo)
+
+    def run(tape):
+        x = Tensor(seq)
+        for t in (x,) + weights:
+            tape.watch(t)
+        y = local_attention(tape, x, window, p, n_heads=2, pos_table=pos,
+                            n_carry=n_carry, xl_extra=xl, topk=topk)
+        g = tape.backward(tape.reduce_sum(tape.multiply(y, Tensor(g_out))))
+        return [y.data] + [g[t].data for t in (x,) + weights]
+
+    codes = clipped_codes(t_len, n_carry, window, window + xl)
+    got, want = run(GradTape()), run(GatheredBiasTape(codes))
+    for name, a, b in zip(("out", "x", "wq", "wk", "wv", "wo"), got, want,
+                          strict=True):
+        assert a.dtype == b.dtype == dtype, name
+        assert np.array_equal(a, b), name
+    assert np.any(got[3] != 0)  # wk: the bias has a gradient to check
 
 
 def test_local_attention_blocked_counts_block_pairs():

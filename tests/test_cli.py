@@ -101,6 +101,33 @@ def test_bad_config_value_names_its_file_and_line(tmp_path, capsys, body,
     assert lines == [f"error: ContractError: {cfg}:{line}: {words}"]
 
 
+@pytest.mark.parametrize("body, line, words", [
+    ("dances 2\nbatch 0\n", 2, "batch must be >= 1, got 0"),
+    ("lr = -1\nsteps 2\n", 1, "lr must be > 0, got -1.0"),
+    ("# picks\ntop-k 0\n", 2, "top_k must be >= 1, got 0"),
+    ("d-model 64\nheads 3\n", 2, "d_model 64 not divisible by n_heads 3"),
+])
+def test_out_of_range_config_value_names_its_file_and_line(tmp_path, capsys,
+                                                          body, line, words):
+    cfg = tmp_path / "range.cfg"
+    cfg.write_text(body)
+    code = main(["train", "--config", str(cfg)])
+    assert code == 2
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln]
+    assert lines == [f"error: ContractError: {cfg}:{line}: {words}"]
+
+
+def test_out_of_range_flag_keeps_its_message_next_to_a_config(tmp_path,
+                                                              capsys):
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("d-model 48\nsteps 2\n")
+    code = main(["train", "--config", str(cfg), "--heads", "5"])
+    assert code == 2
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln]
+    assert lines == ["error: ContractError: d_model 48 not divisible by "
+                     "n_heads 5"]
+
+
 def test_pai_with_one_row_chunks_is_one_line_error(capsys):
     # pai stores two-row chunks; a one-row position table would broadcast
     code = main(["train", "--task", "pai", "--chunk-size", "1", "--steps", "1"])

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -353,6 +354,45 @@ def test_gather_last_values():
     assert np.array_equal(got, [[0.0, 3.0], [5.0, 5.0], [10.0, 8.0]])
 
 
+def test_add_placed_values_and_gradients():
+    # rows of width 6 in two bands of 3: row 0 gets b's first two columns
+    # at column 0 of each band, and rows 1 and 2 at columns 1 and 2 more
+    # than their row number: one run at slope 0, one at slope 1, per band
+    rng = make_rng(19)
+    a, b = Tensor(rng.normal(size=(2, 3, 6))), Tensor(rng.normal(size=(2, 3, 3)))
+    runs = [((slice(0, 1),), 0, 0), ((slice(1, 3),), 0, 1),
+            ((slice(0, 1),), 3, 0), ((slice(1, 3),), 3, 1)]
+    tp = tape()
+    tp.watch(a)
+    tp.watch(b)
+    out = tp.add_placed(a, b, 2, runs)
+    cols = [[0, 1], [0, 1], [1, 2]]
+    want = a.data.copy()
+    for shift in (0, 3):
+        for i in range(3):
+            want[:, i, np.add(cols[i], shift)] += b.data[:, i, :2]
+    assert np.array_equal(out.data, want)
+    mix = rng.normal(size=(2, 3, 6))
+    g = tp.backward(tp.reduce_sum(tp.multiply(out, Tensor(mix))))
+    assert np.array_equal(g[a].data, mix)
+    gb = np.zeros((2, 3, 3))
+    for i in range(3):
+        gb[:, i, :2] = mix[:, i, cols[i]] + mix[:, i, np.add(cols[i], 3)]
+    assert np.array_equal(g[b].data, gb)
+
+
+@pytest.mark.parametrize("n, runs", [
+    (2, [((slice(0, 2),), 4, 1)]),  # the last row runs past the end
+    (2, [((slice(0, 2),), -1, 0)]),  # before the first column
+    (2, [((slice(0, 2),), 0, 2)]),  # a slope other than 0 or 1
+    (4, [((slice(0, 2),), 0, 0)]),  # more columns than b has
+])
+def test_add_placed_rejects_runs_out_of_range(n, runs):
+    a, b = Tensor(np.zeros((2, 6))), Tensor(np.ones((2, 3)))
+    with pytest.raises(ShapeError):
+        tape().add_placed(a, b, n, runs)
+
+
 def test_take_rows_duplicate_selections_accumulate():
     rng = make_rng(17)
     a = Tensor(rng.normal(size=(2, 4, 3)))
@@ -496,6 +536,33 @@ def test_diamond_graph_accumulates():
     loss = tp.reduce_sum(tp.add(a, a))
     g = tp.backward(loss)[x].data
     assert np.max(np.abs(g - 4 * x.data)) < 1e-14
+
+
+def test_backward_releases_what_ops_saved_and_spends_the_tape():
+    w, unused = Tensor(np.ones(3)), Tensor(np.ones(2))
+    saved, skipped, late = np.arange(3.0), np.full(3, 2.0), np.full(3, 3.0)
+    refs = [weakref.ref(a) for a in (saved, skipped, late)]
+    tp = tape()
+    tp.watch(w)
+    tp.watch(unused)
+    loss = tp.reduce_sum(tp.multiply(w, Tensor(saved)))
+    tp.multiply(w, Tensor(skipped))  # recorded, but the loss never reads it
+    tp.multiply(w, Tensor(late))  # recorded after the loss
+    del saved, skipped, late
+    assert all(r() is not None for r in refs)  # kept for backward
+    g = tp.backward(loss)
+    assert [r() for r in refs] == [None, None, None]
+    assert np.array_equal(g[w].data, [0.0, 1.0, 2.0])
+    assert np.array_equal(g[unused].data, np.zeros(2))
+    assert len(tp) == 0
+    with pytest.raises(ContractError, match="already ran"):
+        tp.backward(loss)
+    with pytest.raises(ContractError, match="already ran"):
+        tp.tanh(w)  # a watched leaf cannot start a new graph here
+    tp2 = tape()
+    tp2.watch(w)  # a new tape takes the leaf over
+    g2 = tp2.backward(tp2.reduce_sum(tp2.tanh(w)))
+    assert np.array_equal(g2[w].data, 1.0 - np.tanh(w.data) ** 2)
 
 
 def test_reading_a_freed_intermediate_gradient_raises():

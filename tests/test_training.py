@@ -1,6 +1,7 @@
 """Training loop, metrics, evaluation, and checkpoint contracts."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from chunkmem.errors import (
     TruncatedBlobError,
     VersionMismatchError,
 )
+from chunkmem.optim import Adam
 from chunkmem.stack import KINDS, TASKS, Model, ModelConfig, forward_sequence
 from chunkmem.tasks import ballet_batch, ballet_logits, encode_ballet_tokens
 from chunkmem.tensor import GradTape
 from chunkmem.training import (
     EVAL_STREAM_OFFSET,
     METRICS_COLUMNS,
+    _ballet_step,
     MetricsRow,
     RunConfig,
     build_model,
@@ -221,6 +224,52 @@ def test_evaluate_queries_one_row_per_episode_in_the_final_layer(monkeypatch):
 
 
 # ------------------------------------------------------------- checkpoints
+
+# tracemalloc peaks at ballet-long's config (4 dances, delay 32, batch 32,
+# float32), measured at 133.3 MiB for a training step and 85.9 MiB for a
+# 64-episode evaluate, after a step or on a fresh model alike; a tape kept
+# alive after its backward added about 130 MiB to that evaluate.
+STEP_PEAK_MIB = 147  # the measured step plus 10%
+EVAL_MARGIN = 1.1  # evaluate after a step against one on a fresh model
+
+
+def test_training_step_and_following_evaluate_stay_within_memory_bounds():
+    rc = RunConfig(task="ballet", n_dances=4, delay=32, batch=32,
+                   dtype="float32", aux_weight=0.02, seed=0)
+
+    def peak_mib(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+        finally:
+            tracemalloc.stop()
+
+    def run_eval(model):
+        return lambda: evaluate(model, rc, n_episodes=64, max_batch=64)
+
+    fresh = peak_mib(run_eval(build_model(rc)))
+    model = build_model(rc)
+    opt = Adam(model.params, lr=rc.lr)
+
+    def step():
+        tape = GradTape()
+        model.watch_all(tape)
+        loss, _ = _ballet_step(tape, model, rc, 0, rc.batch, None)
+        opt.step(tape.backward(loss))
+
+    tracemalloc.start()
+    try:  # the step's leftovers stay traced through the evaluate
+        step()
+        step_peak = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+        tracemalloc.reset_peak()
+        run_eval(model)()
+        after = tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+    finally:
+        tracemalloc.stop()
+    assert step_peak <= STEP_PEAK_MIB, step_peak
+    assert after <= EVAL_MARGIN * fresh, (after, fresh)
+
 
 def test_checkpoint_save_load_save_byte_identical(tmp_path):
     for dtype in ("float32", "float64"):
