@@ -223,8 +223,6 @@ def test_evaluate_queries_one_row_per_episode_in_the_final_layer(monkeypatch):
     assert acc == np.mean(np.argmax(logits, axis=-1) == labels)
 
 
-# ------------------------------------------------------------- checkpoints
-
 # tracemalloc peaks at ballet-long's config (4 dances, delay 32, batch 32,
 # float32), measured at 133.3 MiB for a training step and 85.9 MiB for a
 # 64-episode evaluate, after a step or on a fresh model alike; a tape kept
@@ -270,6 +268,8 @@ def test_training_step_and_following_evaluate_stay_within_memory_bounds():
     assert step_peak <= STEP_PEAK_MIB, step_peak
     assert after <= EVAL_MARGIN * fresh, (after, fresh)
 
+
+# ------------------------------------------------------------- checkpoints
 
 def test_checkpoint_save_load_save_byte_identical(tmp_path):
     for dtype in ("float32", "float64"):
