@@ -82,24 +82,6 @@ def scaled_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
     return rng.uniform(-a, a, size=shape or (fan_in, fan_out)).astype(dtype)
 
 
-def init_attention_params(rng, d_model: int, dtype=np.float64) -> AttentionParams:
-    return AttentionParams(
-        wq=Tensor(scaled_uniform(rng, d_model, d_model, dtype=dtype)),
-        wk=Tensor(scaled_uniform(rng, d_model, d_model, dtype=dtype)),
-        wv=Tensor(scaled_uniform(rng, d_model, d_model, dtype=dtype)),
-        wo=Tensor(scaled_uniform(rng, d_model, d_model, dtype=dtype)),
-    )
-
-
-def init_hcam_params(rng, d_model: int, dtype=np.float64) -> HcamParams:
-    return HcamParams(
-        ln_gain=Tensor(np.ones(d_model, dtype=dtype)),
-        ln_bias=Tensor(np.zeros(d_model, dtype=dtype)),
-        w_rel=Tensor(scaled_uniform(rng, d_model, d_model, dtype=dtype)),
-        mha=init_attention_params(rng, d_model, dtype=dtype),
-    )
-
-
 def _split_heads(tape: GradTape, x: Tensor, n_heads: int) -> Tensor:
     """(..., q, d) -> (..., h, q, d/h)"""
     *lead, q, d = x.shape

@@ -15,16 +15,10 @@ from time import perf_counter
 
 import numpy as np
 
-from .attention import (
-    ScoreCounter,
-    hcam_block,
-    init_attention_params,
-    init_hcam_params,
-    multi_head_attention,
-)
+from .attention import ScoreCounter, hcam_block, multi_head_attention
 from .errors import ContractError
 from .rng import make_rng
-from .stack import ModelConfig, parameter_count
+from .stack import Model, ModelConfig, parameter_count
 from .tensor import GradTape, Tensor
 
 
@@ -64,14 +58,15 @@ def run_bench(n_chunks: int = 32, chunk_size: int = 8, top_k: int = 2,
     The sparse path is hcam_block (relevance over summaries, detail
     attention into the top-k chunks); the dense path is one attention call
     over all N*C stored timesteps. Counters must equal N + k*C and N*C.
+    Both take their weights from one layer of a seeded hcam Model.
     """
     if top_k > n_chunks:
         raise ContractError(f"top_k {top_k} > n_chunks {n_chunks}")
-    rng = make_rng(seed)
     d = d_model
-    hparams = init_hcam_params(rng, d)
-    dense_params = init_attention_params(rng, d)
-
+    layer = Model(ModelConfig(kind="hcam", d_model=d, n_layers=1,
+                              n_heads=n_heads), seed).layers[0]
+    hparams, dense_params = layer.hcam, layer.attn
+    rng = make_rng(seed)
     chunks = rng.standard_normal((n_chunks, chunk_size, d))
     summaries = chunks.mean(axis=1)
     flat = chunks.reshape(n_chunks * chunk_size, d)

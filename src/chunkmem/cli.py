@@ -149,9 +149,10 @@ def _cmd_train(args) -> int:
               f"wall_ms {row.wall_ms:.0f} scores {row.attention_score_count}",
               flush=True)
 
+    init_model = None if args.resume is None else load_checkpoint(args.resume)
     _model, rows = train(rc, metrics_path=args.out,
                          checkpoint_path=args.checkpoint,
-                         init_checkpoint=args.resume, progress=show)
+                         init_model=init_model, progress=show)
     if rows:
         print(f"done step {rows[-1].step} eval_acc {rows[-1].eval_acc:.4f}")
     else:

@@ -18,23 +18,6 @@ H_DEFAULT = 1e-5
 TOL_DEFAULT = 1e-4
 
 
-def numeric_gradient(f, x: np.ndarray, h: float = H_DEFAULT) -> np.ndarray:
-    """Full central-difference gradient of scalar f with respect to x."""
-    x = np.asarray(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = float(f(x))
-        flat[i] = orig - h
-        fm = float(f(x))
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
-    return g
-
-
 def max_rel_err(a: np.ndarray, n: np.ndarray, floor: float = 1e-6) -> float:
     """Worst elementwise |a-n| / max(|a|, |n|, floor)."""
     a = np.asarray(a, dtype=np.float64)

@@ -10,7 +10,9 @@ the oldest chunk first.
 Contents are kept as arrays in the layout recall reads, with any leading
 batch axes of the written rows first: summaries (..., N, d), chunks
 (..., N, C, d) and the partial buffer (..., b, d). write takes a whole
-(..., T, d) sequence and freezes every chunk it completes with one gather.
+(..., T, d) sequence, freezes every chunk it completes with one gather and
+returns the window of chunks each step may read, so eviction is decided
+here alone.
 
 The stored chunks sit in a window [start, end) of arrays with free slots
 after it. A freeze writes into the free slots and an eviction moves start,
@@ -75,16 +77,18 @@ class ChunkMemory:
         row = row.data if isinstance(row, Tensor) else np.asarray(row)
         self.write(row[..., None, :])
 
-    def write(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def write(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                   np.ndarray]:
         """Append rows (..., T, d) in time order; freeze the chunks they fill.
 
-        Returns (summaries, chunks, n_visible): the stored chunks followed
-        by the ones this call froze, before eviction, and for each of the T
-        steps how many of them exist once that step's row is written. Step
-        t may read chunks [max(0, n_visible[t] - capacity), n_visible[t]),
-        which includes chunks a later step of the same call evicts. The
-        returned arrays share memory with the store, and later writes never
-        change them; read() gives copies.
+        Returns (summaries, chunks, lo, hi): the stored chunks followed by
+        the ones this call froze, before eviction, and for each of the T
+        steps the window [lo[t], hi[t]) of them that step may read once its
+        row is written. A step whose write completes a chunk already sees
+        it, and a chunk that a later step of the same call evicts stays
+        visible to the steps before that one; hi[t] - lo[t] never exceeds
+        capacity. The returned arrays share memory with the store, and
+        later writes never change them; read() gives copies.
         """
         rows = rows.data if isinstance(rows, Tensor) else np.asarray(rows)
         # every array stored below is a fresh copy: memory never joins a tape
@@ -105,7 +109,7 @@ class ChunkMemory:
         # chunk j of this call covers combined[j*stride : j*stride + c]
         filled = np.arange(b0 + 1, combined.shape[-2] + 1)
         frozen = np.maximum(0, (filled - c) // stride + 1)
-        n_visible = self.n_chunks + frozen
+        hi = self.n_chunks + frozen
         n_new = int(frozen[-1]) if len(frozen) else 0
         start, end = self._start, self._end
         if n_new:
@@ -133,7 +137,7 @@ class ChunkMemory:
         chunks = self._chunks[..., start:end, :, :]
         self._start, self._end = max(start, end - self.capacity), end
         self.buffer = combined[..., n_new * stride:, :].copy()
-        return summaries, chunks, n_visible
+        return summaries, chunks, np.maximum(0, hi - self.capacity), hi
 
     def read(self) -> tuple[np.ndarray, np.ndarray]:
         """(summaries (..., N, d), chunks (..., N, C, d)), oldest chunk first.

@@ -271,17 +271,6 @@ def parameter_count(config: ModelConfig, seed: int = 0) -> int:
     return Model(config, seed).n_params()
 
 
-def parity_report(d_model: int = 64, n_layers: int = 2, n_heads: int = 4) -> str:
-    """Parameter counts for the recall stack vs the XL baseline, same width."""
-    lines = []
-    for kind in ("hcam", "trxl"):
-        cfg = ModelConfig(kind=kind, d_model=d_model, n_layers=n_layers,
-                          n_heads=n_heads)
-        lines.append(f"{kind}: {parameter_count(cfg)} parameters "
-                     f"(d_model={d_model}, layers={n_layers})")
-    return "\n".join(lines)
-
-
 @dataclass
 class StackState:
     """Per-episode recurrent state. Bound to the tape that built it and to
@@ -289,7 +278,8 @@ class StackState:
 
     batch_shape: tuple | None = None
     memories: list[ChunkMemory] = field(default_factory=list)
-    recent: list[list[Tensor]] = field(default_factory=list)  # raw layer inputs
+    # per layer, its last span - 1 raw inputs (..., rows, d), or None
+    recent: list[Tensor | None] = field(default_factory=list)
     lstm_h: list[Tensor] = field(default_factory=list)
     lstm_c: list[Tensor] = field(default_factory=list)
 
@@ -313,7 +303,7 @@ def init_state(model: Model, batch_shape: tuple = ()) -> StackState:
         state.lstm_h = [Tensor(z.copy()) for _ in range(cfg.n_layers)]
         state.lstm_c = [Tensor(z.copy()) for _ in range(cfg.n_layers)]
     else:
-        state.recent = [[] for _ in range(cfg.n_layers)]
+        state.recent = [None] * cfg.n_layers
     return state
 
 
@@ -348,28 +338,6 @@ def _as_rows(tape: GradTape, x: Tensor, d: int):
         return x, lambda t: t
     shape = x.shape[:-1] + (1, d)
     return tape.reshape(x, shape), lambda t: tape.reshape(t, x.shape)
-
-
-def _hcam_over_sequence(tape, model: Model, mem: ChunkMemory, layer: AttnLayer,
-                        x: Tensor, h: Tensor,
-                        counter: ScoreCounter | None) -> Tensor:
-    """Write x to the layer's memory, then recall for the positions of h,
-    which are the last h.shape[-2] positions of x.
-
-    Chunk contents are the raw layer inputs x. mem.write reports how many
-    chunks each position sees: a position whose write completes a chunk
-    already attends to it, and a chunk that a later position evicts stays
-    visible to the positions before it. One hcam_block call gets every
-    position's bounds; it selects for each run of positions with equal
-    bounds, then reads only the rows of the chunks each position picked.
-    """
-    cfg = model.config
-    summaries, chunks, n_vis = mem.write(x.data)
-    n_vis = n_vis[len(n_vis) - h.shape[-2]:]
-    lo = np.maximum(0, n_vis - mem.capacity)
-    return hcam_block(tape, h, summaries, chunks, layer.hcam, cfg.n_heads,
-                      cfg.top_k, pos_table=model.pos_chunk, counter=counter,
-                      visible=(lo, n_vis))
 
 
 def _forward(tape: GradTape, model: Model, xs: Tensor, state: StackState,
@@ -409,11 +377,16 @@ def _forward(tape: GradTape, model: Model, xs: Tensor, state: StackState,
     x = xs
     for li, layer in enumerate(model.layers):
         carry = state.recent[li]
-        seq = tape.concat(list(carry) + [x], axis=-2) if carry else x
-        n_carry, queries = len(carry), x
+        seq = x if carry is None else tape.concat([carry, x], axis=-2)
+        # the next call's carry: this layer's last span - 1 raw inputs
+        s_total = seq.shape[-2]
+        keep = min(s_total, cfg.span - 1)
+        state.recent[li] = (tape.slice_ax(seq, -2, s_total - keep, s_total)
+                            if keep else None)
+        n_carry = s_total - t_len
+        queries = x
         if last_only and li == len(model.layers) - 1:
             # the last position sees only the last span rows
-            s_total = seq.shape[-2]
             n_keys = min(s_total, cfg.span)
             if n_keys < s_total:
                 seq = tape.slice_ax(seq, -2, s_total - n_keys, s_total)
@@ -429,18 +402,14 @@ def _forward(tape: GradTape, model: Model, xs: Tensor, state: StackState,
             xl_extra=cfg.span - cfg.local_window, topk=topk)
         h = tape.add(queries, att)
         if cfg.kind == "hcam":
-            h = _hcam_over_sequence(tape, model, state.memories[li], layer,
-                                    x, h, counter)
-        y = _mlp(tape, layer, h)
-
-        # roll the per-layer carry forward by t_len steps
-        keep = cfg.span - 1
-        if keep > 0:
-            rows = list(carry)
-            for t in range(max(0, t_len - keep), t_len):
-                rows.append(tape.slice_ax(x, -2, t, t + 1))
-            state.recent[li] = rows[-keep:]
-        x = y
+            # chunks hold the raw layer inputs; one call selects for each
+            # run of query rows that see the same window of chunks
+            summaries, chunks, lo, hi = state.memories[li].write(x.data)
+            q = h.shape[-2]
+            h = hcam_block(tape, h, summaries, chunks, layer.hcam, cfg.n_heads,
+                           cfg.top_k, pos_table=model.pos_chunk,
+                           counter=counter, visible=(lo[-q:], hi[-q:]))
+        x = _mlp(tape, layer, h)
     return x
 
 

@@ -150,13 +150,6 @@ def ballet_logits(tape: GradTape, model: Model, ys: Tensor) -> Tensor:
     return tape.reshape(logits, ys.shape[:-2] + (model.config.n_classes,))
 
 
-def ballet_loss(tape: GradTape, model: Model, ys: Tensor,
-                labels) -> Tensor:
-    """Mean cross-entropy of the final-step readout against dancer ids."""
-    return tape.cross_entropy_logits(ballet_logits(tape, model, ys),
-                                     np.asarray(labels))
-
-
 def reconstruction_aux_loss(tape: GradTape, model: Model, ys: Tensor,
                             dancers, directions) -> Tensor:
     """Per-step input reconstruction pressure on the stack output.
@@ -312,8 +305,3 @@ def dump_episodes_jsonl(path: str, task: str, n_episodes: int, seed: int,
                 raise ContractError(f"unknown task {task!r}")
             f.write(json.dumps(row, sort_keys=True) + "\n")
     return n_episodes
-
-
-def load_episodes_jsonl(path: str) -> list[dict]:
-    with open(path) as f:
-        return [json.loads(line) for line in f if line.strip()]

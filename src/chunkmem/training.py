@@ -218,8 +218,7 @@ def evaluate(model: Model, rc: RunConfig, n_episodes: int | None = None,
 
 def train(rc: RunConfig, metrics_path: str | None = None,
           checkpoint_path: str | None = None, progress=None,
-          init_model: Model | None = None,
-          init_checkpoint: str | None = None) -> tuple[Model, list[MetricsRow]]:
+          init_model: Model | None = None) -> tuple[Model, list[MetricsRow]]:
     """Run the configured training; returns the model and the metrics rows.
 
     A row is recorded every eval_every steps and at the last step:
@@ -229,14 +228,10 @@ def train(rc: RunConfig, metrics_path: str | None = None,
     training forwards (evaluation is not counted). Training stops early
     once eval_acc reaches target_accuracy, when that is set.
 
-    init_model or init_checkpoint warm-starts from existing weights (the
-    optimizer state is fresh either way); the model configuration must
-    match the run's. init_model is updated in place.
+    init_model warm-starts from existing weights, such as a loaded
+    checkpoint's, and is updated in place; the optimizer state is fresh.
+    Its model configuration must match the run's.
     """
-    if init_model is not None and init_checkpoint is not None:
-        raise ContractError("pass init_model or init_checkpoint, not both")
-    if init_checkpoint is not None:
-        init_model = load_checkpoint(init_checkpoint)
     if init_model is not None:
         expected = model_config(rc)
         if init_model.config != expected:

@@ -10,8 +10,6 @@ from chunkmem.attention import (
     ScoreCounter,
     chunk_relevance,
     hcam_block,
-    init_attention_params,
-    init_hcam_params,
     local_attention,
     multi_head_attention,
     relative_attention_weights,
@@ -22,7 +20,16 @@ from chunkmem.benchmark import dense_score_count, hcam_score_count
 from chunkmem.errors import ContractError, EmptyMemoryError, ShapeError
 from chunkmem.gradcheck import fd_check
 from chunkmem.rng import make_rng
+from chunkmem.stack import Model, ModelConfig
 from chunkmem.tensor import GradTape, Tensor
+
+
+def layer_params(seed, d=8, dtype=np.float64):
+    """The weights of a one-layer hcam Model: .attn for the attention
+    kernels, .hcam for the recall block."""
+    cfg = ModelConfig(kind="hcam", d_model=d, n_heads=1, n_layers=1,
+                      dtype=np.dtype(dtype).name)
+    return Model(cfg, seed).layers[0]
 
 
 def naive_mha(xq, xkv, p: AttentionParams, h, mask=None):
@@ -47,7 +54,7 @@ def naive_mha(xq, xkv, p: AttentionParams, h, mask=None):
 
 def test_mha_matches_naive_oracle():
     rng = make_rng(0)
-    p = init_attention_params(rng, 12)
+    p = layer_params(0, d=12).attn
     xq = rng.normal(size=(5, 12))
     xkv = rng.normal(size=(7, 12))
     got = multi_head_attention(
@@ -58,7 +65,7 @@ def test_mha_matches_naive_oracle():
 
 def test_mha_single_element_is_value_projection():
     rng = make_rng(1)
-    p = init_attention_params(rng, 8)
+    p = layer_params(1).attn
     xq = rng.normal(size=(4, 8))
     xkv = rng.normal(size=(1, 8))
     got = multi_head_attention(
@@ -68,7 +75,7 @@ def test_mha_single_element_is_value_projection():
 
 
 def test_mha_empty_keys_raises():
-    p = init_attention_params(make_rng(2), 8)
+    p = layer_params(2).attn
     with pytest.raises(ContractError):
         multi_head_attention(
             GradTape(), Tensor(np.zeros((2, 8))), Tensor(np.zeros((0, 8))),
@@ -77,7 +84,7 @@ def test_mha_empty_keys_raises():
 
 def test_mha_batched_rows_match_unbatched():
     rng = make_rng(3)
-    p = init_attention_params(rng, 8)
+    p = layer_params(3).attn
     xq = rng.normal(size=(3, 4, 8))
     xkv = rng.normal(size=(3, 6, 8))
     got = multi_head_attention(
@@ -90,7 +97,7 @@ def test_mha_batched_rows_match_unbatched():
 
 def test_mha_counter_counts_query_key_pairs():
     rng = make_rng(4)
-    p = init_attention_params(rng, 8)
+    p = layer_params(4).attn
     c = ScoreCounter()
     multi_head_attention(
         GradTape(), Tensor(rng.normal(size=(2, 5, 8))),
@@ -102,7 +109,7 @@ def test_mha_counter_counts_query_key_pairs():
 
 def test_local_window_covers_all_equals_full_causal():
     rng = make_rng(5)
-    p = init_attention_params(rng, 8)
+    p = layer_params(5).attn
     x = rng.normal(size=(6, 8))
     t = np.arange(6)
     causal = np.where(t[None, :] <= t[:, None], 0.0, -1e30)
@@ -114,7 +121,7 @@ def test_local_window_covers_all_equals_full_causal():
 
 def test_local_window_one_attends_to_self():
     rng = make_rng(6)
-    p = init_attention_params(rng, 8)
+    p = layer_params(6).attn
     x = rng.normal(size=(5, 8))
     got = local_attention(GradTape(), Tensor(x), 1, p, n_heads=2).data
     want = (x @ p.wv.data) @ p.wo.data
@@ -123,7 +130,7 @@ def test_local_window_one_attends_to_self():
 
 def test_local_attention_windowed_oracle():
     rng = make_rng(7)
-    p = init_attention_params(rng, 8)
+    p = layer_params(7).attn
     x = rng.normal(size=(9, 8))
     w = 3
     got = local_attention(GradTape(), Tensor(x), w, p, n_heads=2).data
@@ -135,7 +142,7 @@ def test_local_attention_windowed_oracle():
 
 def test_local_attention_is_causal():
     rng = make_rng(8)
-    p = init_attention_params(rng, 8)
+    p = layer_params(8).attn
     x = rng.normal(size=(7, 8))
     base = local_attention(GradTape(), Tensor(x), 4, p, n_heads=2).data
     x2 = x.copy()
@@ -146,7 +153,7 @@ def test_local_attention_is_causal():
 
 def test_local_attention_carry_matches_concat():
     rng = make_rng(9)
-    p = init_attention_params(rng, 8)
+    p = layer_params(9).attn
     full = rng.normal(size=(10, 8))
     whole = local_attention(GradTape(), Tensor(full), 4, p, n_heads=2).data
     tail = local_attention(
@@ -155,13 +162,13 @@ def test_local_attention_carry_matches_concat():
 
 
 def test_local_attention_window_zero_raises():
-    p = init_attention_params(make_rng(10), 8)
+    p = layer_params(10).attn
     with pytest.raises(ContractError):
         local_attention(GradTape(), Tensor(np.zeros((3, 8))), 0, p, n_heads=2)
 
 
 def test_local_attention_with_every_row_carried_raises():
-    p = init_attention_params(make_rng(10), 8)
+    p = layer_params(10).attn
     with pytest.raises(ContractError, match="needs a query row"):
         local_attention(GradTape(), Tensor(np.zeros((2, 3, 8))), 4, p,
                         n_heads=2, pos_table=sinusoidal_table(4, 8), n_carry=3)
@@ -169,7 +176,7 @@ def test_local_attention_with_every_row_carried_raises():
 
 def test_local_attention_position_codes_change_scores():
     rng = make_rng(11)
-    p = init_attention_params(rng, 8)
+    p = layer_params(11).attn
     x = rng.normal(size=(6, 8))
     pos = sinusoidal_table(4, 8)
     plain = local_attention(GradTape(), Tensor(x), 4, p, n_heads=2).data
@@ -202,7 +209,7 @@ def windowed_reference(seq, n_carry, w, p, h, pos):
 @pytest.mark.parametrize("n_carry", [0, 2, 7])
 def test_local_attention_blocked_matches_windowed_reference(n_carry):
     rng = make_rng(12)
-    p = init_attention_params(rng, 8)
+    p = layer_params(12).attn
     w = 3
     t_len = MIN_WINDOWS_FOR_BLOCKS * w + 2  # blocked, last block partial
     pos = sinusoidal_table(w, 8)
@@ -263,7 +270,7 @@ class GatheredBiasTape(GradTape):
 def test_placed_position_bias_equals_gathered_codes_bitwise(
         window, xl, topk, t_len, n_carry, dtype):
     rng = make_rng(15)
-    p = init_attention_params(rng, 8, dtype=dtype)
+    p = layer_params(15, dtype=dtype).attn
     pos = sinusoidal_table(window + xl, 8, dtype=dtype)
     seq = rng.normal(size=(2, n_carry + t_len, 8)).astype(dtype)
     g_out = rng.normal(size=(2, t_len, 8)).astype(dtype)
@@ -289,7 +296,7 @@ def test_placed_position_bias_equals_gathered_codes_bitwise(
 
 def test_local_attention_blocked_counts_block_pairs():
     rng = make_rng(13)
-    p = init_attention_params(rng, 8)
+    p = layer_params(13).attn
     w, t_len = 4, MIN_WINDOWS_FOR_BLOCKS * 4 + 1
     c = ScoreCounter()
     local_attention(GradTape(), Tensor(rng.normal(size=(3, t_len, 8))), w, p,
@@ -310,7 +317,7 @@ def test_local_attention_xl_blocks_match_dense_pieces(topk):
     pos = sinusoidal_table(reach, 8)
     seq = rng.normal(size=(2, carry + t_len, 8))
     g_out = rng.normal(size=(2, t_len, 8))
-    p = init_attention_params(rng, 8)
+    p = layer_params(14).attn
     weights = (p.wq, p.wk, p.wv, p.wo)
 
     def grads(pieces):
@@ -452,17 +459,8 @@ def test_top_k_select_matches_the_stable_sort_bitwise(dtype):
 
 # ---- the recall block ----
 
-def small_block(seed, d=8, heads=2):
-    rng = make_rng(seed)
-    return init_hcam_params(rng, d), rng
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_init_hcam_params_keeps_dtype(dtype):
-    p = init_hcam_params(make_rng(15), 8, dtype=dtype)
-    arrays = [p.ln_gain, p.ln_bias, p.w_rel,
-              p.mha.wq, p.mha.wk, p.mha.wv, p.mha.wo]
-    assert all(t.dtype == dtype for t in arrays)
+def small_block(seed):
+    return layer_params(seed).hcam, make_rng(seed)
 
 
 def test_hcam_empty_memory_is_identity():
@@ -683,7 +681,7 @@ def test_float32_hcam_forward_and_backward_stay_float32(monkeypatch):
     # rows see 0, 1 and 3 chunks, so empty top-k slots, their zero weights,
     # a pass-through row and both position terms (from a float64 table)
     # are all on the tape
-    p = init_hcam_params(make_rng(26), 8, dtype=np.float32)
+    p = layer_params(26, dtype=np.float32).hcam
     rng = make_rng(27)
     x = Tensor(rng.normal(size=(2, 5, 8)).astype(np.float32))
     chunks = rng.normal(size=(2, 4, 3, 8)).astype(np.float32)

@@ -1,10 +1,11 @@
 """Command-line surface: flags, config file, outputs, exit codes."""
 
+import json
+
 import numpy as np
 import pytest
 
 from chunkmem.cli import main
-from chunkmem.tasks import load_episodes_jsonl
 from chunkmem.training import METRICS_COLUMNS, load_checkpoint, read_metrics_csv
 
 
@@ -167,7 +168,7 @@ def test_dump_episodes_round_trip(tmp_path, capsys):
     code = main(["dump-episodes", "--task", "pai", "--chain-length", "3",
                  "--episodes", "5", "--seed", "2", "--out", str(out)])
     assert code == 0
-    records = load_episodes_jsonl(str(out))
+    records = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(records) == 5
     assert all(r["chain_length"] == 3 for r in records)
 

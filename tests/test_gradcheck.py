@@ -6,7 +6,6 @@ from chunkmem.gradcheck import (
     corrupted_backward_is_caught,
     fd_check,
     max_rel_err,
-    numeric_gradient,
     run_composed_checks,
     run_full_gradcheck,
     run_op_checks,
@@ -14,13 +13,6 @@ from chunkmem.gradcheck import (
 )
 from chunkmem.rng import make_rng
 from chunkmem.tensor import Tensor
-
-
-def test_numeric_gradient_on_known_function():
-    # f(x) = sum(x^2), gradient 2x
-    x = make_rng(0).normal(size=(3, 4))
-    g = numeric_gradient(lambda a: float((a * a).sum()), x.copy())
-    assert max_rel_err(g, 2 * x) < 1e-8
 
 
 def test_max_rel_err_behaviour():

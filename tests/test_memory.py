@@ -116,10 +116,10 @@ def test_freezes_reuse_the_store_and_leave_returned_arrays_alone():
     rng = make_rng(3)
     m.write(rng.normal(size=(2, 64 * 2, 3)))
     held = [(s, c, s.copy(), c.copy())
-            for s, c, _n in [m.write(rng.normal(size=(2, 1, 3)))]]
+            for s, c, _lo, _hi in [m.write(rng.normal(size=(2, 1, 3)))]]
     moves, prev = 0, m.chunks
     for i in range(1000):
-        s, c, _n = m.write(rng.normal(size=(2, 2, 3)))
+        s, c, _lo, _hi = m.write(rng.normal(size=(2, 2, 3)))
         moves += not np.shares_memory(prev, m.chunks)
         prev = m.chunks
         if i % 97 == 0:
@@ -188,9 +188,10 @@ def check_read(m, history) -> None:
         assert np.max(np.abs(s - ch.mean(axis=1))) < 1e-6
 
 
-def check_sequence_write(m, history, rows) -> None:
-    """m.write(rows) against the reference: at every step, how many chunks
-    exist and which ones that step may read after eviction."""
+def check_sequence_write(m, history, rows) -> bool:
+    """m.write(rows) against the reference: at every step, the window
+    [lo, hi) of the returned chunks that step may read after eviction.
+    True when some step's window starts past the first returned chunk."""
     c, o, cap = m.chunk_size, m.overlap, m.capacity
     start = len(history)
     history.extend(rows)
@@ -198,20 +199,24 @@ def check_sequence_write(m, history, rows) -> None:
     ends = (c - o) * np.arange(len(full)) + c  # a chunk exists once written
     n_before = int(np.sum(ends <= start))
     n_ref = np.searchsorted(ends, start + 1 + np.arange(len(rows)), "right")
-    s, ch, n_vis = m.write(rows)
+    first = max(0, n_before - cap)  # the first returned chunk, in full
+    s, ch, lo, hi = m.write(rows)
     assert len(s) == len(ch)
-    assert np.array_equal(n_vis, min(n_before, cap) + n_ref - n_before)
-    for n, n_want in set(zip(n_vis.tolist(), n_ref.tolist())):
-        got, want = ch[max(0, n - cap):n], full[max(0, n_want - cap):n_want]
+    assert np.array_equal(hi, n_ref - first)
+    assert np.array_equal(lo, np.maximum(0, n_ref - cap) - first)
+    for a, b, n_want in set(zip(lo.tolist(), hi.tolist(), n_ref.tolist())):
+        got, want = ch[a:b], full[max(0, n_want - cap):n_want]
         assert len(got) == len(want)
         for got_ch, want_ch in zip(got, want):
             assert np.array_equal(got_ch, want_ch)
     if len(s):
         assert np.max(np.abs(s - ch.mean(axis=1))) < 1e-6
+    return bool(np.any(lo > 0))
 
 
-def check_random_trace(seed: int) -> None:
-    """One random op sequence checked against the reference model."""
+def check_random_trace(seed: int) -> bool:
+    """One random op sequence checked against the reference model; True
+    when a sequence write with overlap evicted chunks some step read."""
     rng = make_rng(seed)
     c = int(rng.integers(1, 7))
     o = int(rng.integers(0, c))
@@ -219,6 +224,7 @@ def check_random_trace(seed: int) -> None:
     m = ChunkMemory(chunk_size=c, overlap=o, capacity=cap)
     history: list[np.ndarray] = []
     d = int(rng.integers(1, 4))
+    evicted = False
     for _ in range(int(rng.integers(5, 40))):
         op = rng.random()
         if op < 0.6:
@@ -228,7 +234,8 @@ def check_random_trace(seed: int) -> None:
         elif op < 0.75:
             # often starts on a partial buffer and spans several chunks
             t_len = int(rng.integers(0, 3 * c + 2))
-            check_sequence_write(m, history, rng.normal(size=(t_len, d)))
+            evicted |= check_sequence_write(m, history,
+                                            rng.normal(size=(t_len, d)))
         elif op < 0.95:
             check_read(m, history)
         else:
@@ -236,11 +243,12 @@ def check_random_trace(seed: int) -> None:
             history = []
         assert m.buffer.shape[-2] < c
         assert m.n_chunks == len(m.summaries) <= cap
+    return evicted and o > 0
 
 
 def test_random_traces_small():
-    for seed in range(500):
-        check_random_trace(seed)
+    overlapped_evictions = sum(check_random_trace(seed) for seed in range(500))
+    assert overlapped_evictions >= 100
 
 
 def test_long_trace_with_thousands_of_chunks():

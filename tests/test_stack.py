@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from chunkmem import attention
+from chunkmem import attention, stack
 from chunkmem.attention import (MIN_WINDOWS_FOR_BLOCKS, ScoreCounter,
                                 hcam_block, local_attention)
 from chunkmem.errors import ContractError, ShapeError
@@ -19,7 +19,6 @@ from chunkmem.stack import (
     init_state,
     lstm_cell,
     parameter_count,
-    parity_report,
     stack_step,
 )
 from chunkmem.memory import ChunkMemory
@@ -218,14 +217,6 @@ def test_parameter_counts_match_formula():
         assert parameter_count(cfg) == emb + 2 * per
 
 
-def test_parity_report_mentions_both_kinds():
-    rep = parity_report(d_model=32, n_layers=1, n_heads=2)
-    assert "hcam" in rep and "trxl" in rep
-    hcam_n, trxl_n = (int(line.split()[1]) for line in rep.splitlines())
-    d = 32
-    assert hcam_n - trxl_n == 1 * (5 * d * d + 2 * d)
-
-
 # ---------------------------------------------- step vs sequence: recall
 
 HCAM_CASES = [
@@ -399,11 +390,12 @@ def assert_states_equal(a: StackState, b: StackState):
         assert ma.n_chunks == mb.n_chunks
         for name in ("summaries", "chunks", "buffer"):
             assert np.array_equal(getattr(ma, name), getattr(mb, name))
-    carried_a = [t for rows in a.recent for t in rows] + a.lstm_h + a.lstm_c
-    carried_b = [t for rows in b.recent for t in rows] + b.lstm_h + b.lstm_c
+    carried_a = a.recent + a.lstm_h + a.lstm_c
+    carried_b = b.recent + b.lstm_h + b.lstm_c
     assert len(carried_a) == len(carried_b) > 0
     for ta, tb in zip(carried_a, carried_b):
-        assert np.array_equal(ta.data, tb.data)
+        assert (ta is None) == (tb is None)
+        assert ta is None or np.array_equal(ta.data, tb.data)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -446,6 +438,55 @@ def test_last_only_needs_a_step():
     with pytest.raises(ContractError):
         forward_sequence(GradTape(), model, Tensor(np.zeros((2, 0, 12))),
                          last_only=True)
+
+
+@pytest.mark.parametrize("kind", ["hcam", "trxl", "trxl_topk"])
+def test_each_layer_carries_one_tensor_of_its_last_raw_inputs(kind,
+                                                               monkeypatch):
+    # spans 3 (hcam) and 5 (XL): calls add fewer and more rows than a
+    # carry holds, then single steps
+    cfg = ModelConfig(kind=kind, d_model=8, n_heads=2, n_layers=2,
+                      chunk_size=2, top_k=1, local_window=3, capacity=3,
+                      xl_extra_length=2)
+    model = Model(cfg, seed=0)
+    inputs = [[] for _ in model.layers]  # each layer's raw inputs, per call
+    mlp = stack._mlp
+
+    def recording(tape, layer, h):
+        y = mlp(tape, layer, h)
+        li = next(i for i, lay in enumerate(model.layers) if lay is layer)
+        if li + 1 < len(model.layers):
+            inputs[li + 1].append(y.data)
+        return y
+
+    monkeypatch.setattr(stack, "_mlp", recording)
+
+    def check(state, steps):
+        keep = min(steps, cfg.span - 1)
+        for li, carry in enumerate(state.recent):
+            if keep == 0:
+                assert carry is None
+                continue
+            assert isinstance(carry, Tensor)
+            seen = np.concatenate(inputs[li], axis=-2)
+            assert np.array_equal(carry.data, seen[:, steps - keep:])
+
+    rng = make_rng(6)
+    tape = GradTape()
+    state, steps = init_state(model, (2,)), 0
+    check(state, steps)
+    for t_len in (1, 2, 7):
+        xs = rng.normal(size=(2, t_len, 8))
+        inputs[0].append(xs)
+        forward_sequence(tape, model, Tensor(xs), state)
+        steps += t_len
+        check(state, steps)
+    for _ in range(3):
+        x = rng.normal(size=(2, 8))
+        inputs[0].append(x[:, None])
+        stack_step(tape, model, state, Tensor(x))
+        steps += 1
+        check(state, steps)
 
 
 def test_hcam_batched_matches_unbatched_rows():
