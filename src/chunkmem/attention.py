@@ -6,9 +6,9 @@ attention inside only the top-k chunks and adds the relevance-weighted
 results back to the input. Scoring is N summary dots plus k*C detail dots
 per query, against N*C for attending over every stored timestep.
 
-Memory contents (summaries and chunk rows) always pass through
-stop_gradient here, so training shapes how memories are queried and used,
-never what was written.
+Memory contents (summaries and chunk rows) are always constants here,
+built from their arrays as Tensor(x.data), so training shapes how memories
+are queried and used, never what was written.
 """
 
 from __future__ import annotations
@@ -401,7 +401,7 @@ def chunk_relevance(
     if n == 0:
         raise EmptyMemoryError("no complete chunks to score")
     qs = tape.matmul(queries, w_rel)
-    s = tape.stop_gradient(summaries)
+    s = Tensor(summaries.data)
     scores = tape.matmul(qs, tape.swap_last2(s))
     if counter is not None:
         sh = scores.shape

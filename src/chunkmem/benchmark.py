@@ -18,7 +18,7 @@ import numpy as np
 from .attention import ScoreCounter, hcam_block, multi_head_attention
 from .errors import ContractError
 from .rng import make_rng
-from .stack import Model, ModelConfig, parameter_count
+from .stack import Model, ModelConfig
 from .tensor import GradTape, Tensor
 
 
@@ -60,6 +60,10 @@ def run_bench(n_chunks: int = 32, chunk_size: int = 8, top_k: int = 2,
     over all N*C stored timesteps. Counters must equal N + k*C and N*C.
     Both take their weights from one layer of a seeded hcam Model.
     """
+    for name, value in (("n_chunks", n_chunks), ("chunk_size", chunk_size),
+                        ("trials", trials)):
+        if value < 1:
+            raise ContractError(f"{name} must be >= 1, got {value}")
     if top_k > n_chunks:
         raise ContractError(f"top_k {top_k} > n_chunks {n_chunks}")
     d = d_model
@@ -106,10 +110,9 @@ def run_bench(n_chunks: int = 32, chunk_size: int = 8, top_k: int = 2,
 def format_report(report: BenchReport, n_layers: int = 2) -> str:
     """Plain-text lines: measured counts, closed forms, timing, parity."""
     r = report
-    n_hcam = parameter_count(ModelConfig(
-        kind="hcam", d_model=r.d_model, n_layers=n_layers, n_heads=r.n_heads))
-    n_trxl = parameter_count(ModelConfig(
-        kind="trxl", d_model=r.d_model, n_layers=n_layers, n_heads=r.n_heads))
+    n_hcam, n_trxl = (Model(ModelConfig(
+        kind=kind, d_model=r.d_model, n_layers=n_layers,
+        n_heads=r.n_heads)).n_params() for kind in ("hcam", "trxl"))
     lines = [
         f"config n_chunks {r.n_chunks} chunk_size {r.chunk_size} "
         f"top_k {r.top_k} d_model {r.d_model} heads {r.n_heads}",

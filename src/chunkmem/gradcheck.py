@@ -136,8 +136,6 @@ def _op_cases(rng):
          lambda tp, v: tp.reduce_sum(tp.sigmoid(v["a"])))
     case("reduce_sum_axis", {"a": r(3, 4)},
          lambda tp, v: tp.reduce_sum(tp.tanh(tp.reduce_sum(v["a"], axis=0))))
-    case("mean_pool", {"a": r(3, 4, 5)},
-         lambda tp, v: tp.reduce_sum(tp.tanh(tp.mean_pool(v["a"], axis=1))))
     soft_w = Tensor(r(3, 5))  # fixed mixing weights so the loss sees all rows
     case("softmax", {"a": 2.0 * r(3, 5)},
          lambda tp, v: tp.reduce_sum(tp.multiply(
@@ -171,28 +169,7 @@ def run_op_checks(seed: int = 0, h: float = H_DEFAULT,
         report = fd_check(fn, inputs, h=h, rng=rng)
         err = max(report.values())
         rows.append((name, err, err < tol))
-    # stop_gradient passes values forward, so finite differences see the
-    # blocked branch; its contract is checked against the tape-walk oracle.
-    rows.append(("stop_gradient", 0.0, stop_gradient_analytic_exact()))
     return rows
-
-
-def stop_gradient_analytic_exact() -> bool:
-    """d sum(x + sg(x)) / dx is exactly 1; d sum(y + sg(x)) / dx exactly 0."""
-    x = Tensor(np.linspace(-1.0, 1.0, 12).reshape(3, 4))
-    tape = GradTape()
-    tape.watch(x)
-    loss = tape.reduce_sum(tape.add(x, tape.stop_gradient(x)))
-    g = tape.backward(loss)[x].data
-    if not np.array_equal(g, np.ones_like(g)):
-        return False
-    y = Tensor(np.ones((3, 4)))
-    tape2 = GradTape()
-    tape2.watch(x)
-    tape2.watch(y)
-    loss2 = tape2.reduce_sum(tape2.add(y, tape2.stop_gradient(x)))
-    g2 = tape2.backward(loss2)[x].data
-    return np.array_equal(g2, np.zeros_like(g2))
 
 
 def corrupted_backward_is_caught(tol: float = TOL_DEFAULT) -> bool:

@@ -67,8 +67,9 @@ class ModelConfig:
             raise ContractError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.task not in TASKS:
             raise ContractError(f"task must be one of {TASKS}, got {self.task!r}")
-        for name in ("d_model", "n_heads", "n_layers", "dancer_vocab",
-                     "direction_vocab", "query_vocab", "n_classes", "item_dim"):
+        for name in ("d_model", "n_heads", "n_layers", "chunk_size",
+                     "dancer_vocab", "direction_vocab", "query_vocab",
+                     "n_classes", "item_dim"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.mlp_hidden < 0:
@@ -265,10 +266,6 @@ class Model:
 
     def n_params(self) -> int:
         return sum(int(p.size) for p in self.params.values())
-
-
-def parameter_count(config: ModelConfig, seed: int = 0) -> int:
-    return Model(config, seed).n_params()
 
 
 @dataclass

@@ -243,7 +243,7 @@ def pai_forward(tape: GradTape, model: Model, pairs, probe,
     two-row chunk per pair. The probe then runs through the stack as a
     one-step sequence, whose row waits in each memory's buffer without
     freezing a chunk, so recall reads exactly the pairs. The probe's
-    mean-pooled output is projected and dotted with each embedded choice.
+    output row is projected and dotted with each embedded choice.
 
     Accepts one episode's arrays or batches with leading dims.
     """
@@ -265,9 +265,7 @@ def pai_forward(tape: GradTape, model: Model, pairs, probe,
         mem.write(rows.reshape(*lead, 2 * n_pairs, d))
     x, _ = forward_sequence(tape, model, x, state, counter)
 
-    pooled = tape.mean_pool(x, axis=-2)
-    pooled = tape.reshape(pooled, pooled.shape[:-1] + (1, cfg.d_model))
-    proj = tape.add(tape.matmul(pooled, model.params["proj.w"]),
+    proj = tape.add(tape.matmul(x, model.params["proj.w"]),
                     model.params["proj.b"])
     ch = tape.matmul(Tensor(np.asarray(choices)), emb)
     logits = tape.matmul(ch, tape.swap_last2(proj))  # (..., 2, 1)
@@ -281,6 +279,8 @@ def dump_episodes_jsonl(path: str, task: str, n_episodes: int, seed: int,
                         chain_length: int = 1, n_pairs: int = 8,
                         item_dim: int = 32) -> int:
     """Write one JSON object per line; returns the number written."""
+    if n_episodes < 1:
+        raise ContractError(f"n_episodes must be >= 1, got {n_episodes}")
     with open(path, "w") as f:
         for i in range(n_episodes):
             rng = episode_rng(seed, i)

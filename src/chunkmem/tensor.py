@@ -60,12 +60,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self):
-        return float(self.data)
-
-    def copy(self):
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
@@ -498,17 +492,6 @@ class GradTape:
 
         return self._emit(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
-    def mean_pool(self, a: Tensor, axis: int) -> Tensor:
-        axis = axis % a.ndim
-        n = a.shape[axis]
-        ash = a.shape
-
-        def bwd(g):
-            ge = np.expand_dims(g, axis) / n
-            return (np.broadcast_to(ge, ash).copy(),)
-
-        return self._emit(np.add.reduce(a.data, axis=axis) / n, (a,), bwd)
-
     def softmax(self, a: Tensor, axis: int = -1) -> Tensor:
         x = a.data
         # NumPy's max pays a fixed cost per row: on short rows a maximum
@@ -591,13 +574,6 @@ class GradTape:
             return (p * g,)
 
         return self._emit(val, (logits,), bwd)
-
-    # ---- gradient control ----
-
-    def stop_gradient(self, a: Tensor) -> Tensor:
-        """Identity forward; no gradient ever flows into `a` through this."""
-        out = Tensor(a.data)  # shares the array, so forward is bitwise equal
-        return out
 
     # ---- reverse pass ----
 

@@ -15,7 +15,7 @@ stored values to Model.from_params; no random model is built.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -30,7 +30,8 @@ from .errors import (
     VersionMismatchError,
 )
 from .optim import Adam
-from .stack import Model, ModelConfig, forward_sequence, param_specs
+from .stack import (KINDS, TASKS, Model, ModelConfig, forward_sequence,
+                    param_specs)
 from .tasks import (
     ballet_batch,
     ballet_logits,
@@ -41,7 +42,7 @@ from .tasks import (
 )
 from .tensor import GradTape
 
-MODEL_NAMES = ("hcam", "trxl", "trxl-topk", "lstm")
+MODEL_NAMES = tuple(k.replace("_", "-") for k in KINDS)
 
 # Evaluation episodes come from indices at this offset so they can never
 # collide with training episodes (a 30k-step run at batch 32 uses indices
@@ -85,8 +86,8 @@ class RunConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if self.task not in ("ballet", "pai"):
-            raise ContractError(f"task must be ballet or pai, got {self.task!r}")
+        if self.task not in TASKS:
+            raise ContractError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.model not in MODEL_NAMES:
             raise ContractError(
                 f"model must be one of {MODEL_NAMES}, got {self.model!r}")
@@ -162,57 +163,63 @@ def read_metrics_csv(path: str) -> list[MetricsRow]:
     return rows
 
 
-def _ballet_step(tape, model, rc, start, count, counter):
-    """One ballet minibatch: (loss tensor, correct count)."""
+def _batch(tape, model, rc, start, count, counter=None, last_only=False):
+    """Episodes start..start+count through the model: (logits, labels, aux).
+
+    aux is the reconstruction loss times aux_weight: None for pai, at
+    aux_weight 0 and under last_only. last_only runs ballet episodes with
+    forward_sequence's last_only, since the readout reads only the final
+    step; pai's probe is a one-step sequence already.
+    """
+    if rc.task == "pai":
+        pairs, probe, choices, labels = pai_batch(
+            rc.chain_length, rc.n_pairs, rc.item_dim, rc.seed, start, count)
+        return (pai_forward(tape, model, pairs, probe, choices, counter=counter),
+                labels, None)
     dancers, directions, queries, labels = ballet_batch(
         rc.n_dances, rc.delay, rc.seed, start, count)
     xs = encode_ballet_tokens(tape, model, dancers, directions, queries)
-    ys, _ = forward_sequence(tape, model, xs, counter=counter)
+    ys, _ = forward_sequence(tape, model, xs, counter=counter,
+                             last_only=last_only)
     logits = ballet_logits(tape, model, ys)
-    loss = tape.cross_entropy_logits(logits, labels)
-    if rc.aux_weight > 0:
-        aux = reconstruction_aux_loss(tape, model, ys, dancers, directions)
-        loss = tape.add(loss, tape.scale(aux, rc.aux_weight))
-    correct = int(np.sum(np.argmax(logits.data, axis=-1) == labels))
-    return loss, correct
+    aux = None
+    if rc.aux_weight > 0 and not last_only:
+        aux = tape.scale(
+            reconstruction_aux_loss(tape, model, ys, dancers, directions),
+            rc.aux_weight)
+    return logits, labels, aux
 
 
-def _pai_step(tape, model, rc, start, count, counter):
-    pairs, probe, choices, labels = pai_batch(
-        rc.chain_length, rc.n_pairs, rc.item_dim, rc.seed, start, count)
-    logits = pai_forward(tape, model, pairs, probe, choices, counter=counter)
+def _correct(logits, labels) -> int:
+    return int(np.sum(np.argmax(logits.data, axis=-1) == labels))
+
+
+def _minibatch(tape, model, rc, start, counter=None):
+    """The training loss on episodes start..start+rc.batch, and how many
+    of them the model answers right."""
+    logits, labels, aux = _batch(tape, model, rc, start, rc.batch, counter)
     loss = tape.cross_entropy_logits(logits, labels)
-    correct = int(np.sum(np.argmax(logits.data, axis=-1) == labels))
-    return loss, correct
+    if aux is not None:
+        loss = tape.add(loss, aux)
+    return loss, _correct(logits, labels)
 
 
 def evaluate(model: Model, rc: RunConfig, n_episodes: int | None = None,
              stream_offset: int = EVAL_STREAM_OFFSET,
              max_batch: int = 256) -> float:
-    """Accuracy on held-out episodes (a fixed stream disjoint from training).
-
-    Ballet episodes are run with last_only, since the readout reads only
-    the final step.
-    """
+    """Accuracy on held-out episodes (a fixed stream disjoint from training),
+    run max_batch episodes at a time."""
     n = rc.eval_episodes if n_episodes is None else n_episodes
+    if n < 1:
+        raise ContractError(f"n_episodes must be >= 1, got {n}")
+    if max_batch < 1:
+        raise ContractError(f"max_batch must be >= 1, got {max_batch}")
     tape = GradTape(recording=False)
     correct = 0
-    done = 0
-    while done < n:
-        m = min(max_batch, n - done)
-        if rc.task == "ballet":
-            dancers, directions, queries, labels = ballet_batch(
-                rc.n_dances, rc.delay, rc.seed, stream_offset + done, m)
-            xs = encode_ballet_tokens(tape, model, dancers, directions, queries)
-            ys, _ = forward_sequence(tape, model, xs, last_only=True)
-            logits = ballet_logits(tape, model, ys)
-        else:
-            pairs, probe, choices, labels = pai_batch(
-                rc.chain_length, rc.n_pairs, rc.item_dim, rc.seed,
-                stream_offset + done, m)
-            logits = pai_forward(tape, model, pairs, probe, choices)
-        correct += int(np.sum(np.argmax(logits.data, axis=-1) == labels))
-        done += m
+    for done in range(0, n, max_batch):
+        logits, labels, _ = _batch(tape, model, rc, stream_offset + done,
+                                   min(max_batch, n - done), last_only=True)
+        correct += _correct(logits, labels)
     return correct / n
 
 
@@ -243,7 +250,6 @@ def train(rc: RunConfig, metrics_path: str | None = None,
         model = build_model(rc)
     opt = Adam(model.params, lr=rc.lr, beta1=rc.beta1, beta2=rc.beta2)
     counter = ScoreCounter()
-    minibatch = _ballet_step if rc.task == "ballet" else _pai_step
 
     rows: list[MetricsRow] = []
     run_loss = 0.0
@@ -254,8 +260,8 @@ def train(rc: RunConfig, metrics_path: str | None = None,
     for step in range(1, rc.steps + 1):
         tape = GradTape()
         model.watch_all(tape)
-        loss, correct = minibatch(tape, model, rc, (step - 1) * rc.batch,
-                                  rc.batch, counter)
+        loss, correct = _minibatch(tape, model, rc, (step - 1) * rc.batch,
+                                   counter)
         value = float(loss.data)
         if not np.isfinite(value):
             norms = ", ".join(
@@ -301,12 +307,11 @@ def fixed_batch_losses(rc: RunConfig, n_updates: int) -> list[float]:
     update it feeds)."""
     model = build_model(rc)
     opt = Adam(model.params, lr=rc.lr, beta1=rc.beta1, beta2=rc.beta2)
-    minibatch = _ballet_step if rc.task == "ballet" else _pai_step
     losses = []
     for _ in range(n_updates):
         tape = GradTape()
         model.watch_all(tape)
-        loss, _correct = minibatch(tape, model, rc, 0, rc.batch, None)
+        loss, _ = _minibatch(tape, model, rc, 0)
         losses.append(float(loss.data))
         opt.step(tape.backward(loss))
     return losses

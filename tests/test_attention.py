@@ -377,6 +377,22 @@ def test_chunk_relevance_identical_summaries_uniform():
     assert np.max(np.abs(got - 0.2)) < 1e-12
 
 
+def test_chunk_relevance_passes_no_gradient_to_summaries():
+    # summaries are memory contents: the queries and w_rel learn from the
+    # relevance, what was stored does not
+    rng = make_rng(15)
+    x, s, w = (Tensor(rng.normal(size=shape))
+               for shape in ((3, 4), (5, 4), (4, 4)))
+    tp = GradTape()
+    for t in (x, s, w):
+        tp.watch(t)
+    rel = chunk_relevance(tp, x, s, w)
+    loss = tp.reduce_sum(tp.multiply(rel, Tensor(rng.normal(size=(3, 5)))))
+    g = tp.backward(loss)
+    assert np.array_equal(g[s].data, np.zeros((5, 4)))
+    assert np.all(g[x].data != 0) and np.all(g[w].data != 0)
+
+
 def test_chunk_relevance_empty_memory_raises():
     with pytest.raises(EmptyMemoryError):
         chunk_relevance(

@@ -56,6 +56,23 @@ def test_eval_prints_accuracy(tmp_path, capsys):
     assert 0.0 <= acc <= 1.0
 
 
+def error_lines(capsys):
+    return [ln for ln in capsys.readouterr().err.splitlines() if ln]
+
+
+@pytest.mark.parametrize("episodes", ["0", "-3"])
+def test_eval_episode_count_below_one_is_one_line_error(tmp_path, capsys,
+                                                        episodes):
+    ckpt = tmp_path / "m.ckpt"
+    main(["train", *TRAIN_SMALL, "--checkpoint", str(ckpt)])
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(ckpt), "--task", "ballet",
+                 "--dances", "2", "--delay", "4", "--episodes", episodes])
+    assert code == 2
+    assert error_lines(capsys) == [
+        f"error: ContractError: n_episodes must be >= 1, got {episodes}"]
+
+
 def test_eval_task_mismatch_is_one_line_error(tmp_path, capsys):
     ckpt = tmp_path / "m.ckpt"
     main(["train", *TRAIN_SMALL, "--checkpoint", str(ckpt)])
@@ -161,6 +178,27 @@ def test_bench_rejects_k_above_n(capsys):
     code = main(["bench", "--n-chunks", "4", "--top-k", "9", "--trials", "1"])
     assert code != 0
     assert "error: ContractError:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, name", [
+    ("--n-chunks", "n_chunks"),
+    ("--chunk-size", "chunk_size"),
+    ("--trials", "trials"),
+])
+def test_bench_count_below_one_is_one_line_error(capsys, flag, name):
+    code = main(["bench", "--top-k", "1", "--trials", "1", flag, "0"])
+    assert code == 2
+    assert error_lines(capsys) == [
+        f"error: ContractError: {name} must be >= 1, got 0"]
+
+
+def test_dump_episodes_count_below_one_is_one_line_error(tmp_path, capsys):
+    out = tmp_path / "eps.jsonl"
+    code = main(["dump-episodes", "--episodes", "-1", "--out", str(out)])
+    assert code == 2
+    assert error_lines(capsys) == [
+        "error: ContractError: n_episodes must be >= 1, got -1"]
+    assert not out.exists()
 
 
 def test_dump_episodes_round_trip(tmp_path, capsys):

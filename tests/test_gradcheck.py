@@ -9,10 +9,8 @@ from chunkmem.gradcheck import (
     run_composed_checks,
     run_full_gradcheck,
     run_op_checks,
-    stop_gradient_analytic_exact,
 )
 from chunkmem.rng import make_rng
-from chunkmem.tensor import Tensor
 
 
 def test_max_rel_err_behaviour():
@@ -64,10 +62,6 @@ def test_fd_check_on_composed_mlp():
 
 def test_corrupted_backward_is_caught():
     assert corrupted_backward_is_caught()
-
-
-def test_stop_gradient_analytic_exact():
-    assert stop_gradient_analytic_exact()
 
 
 def test_sampled_entries_are_deterministic():

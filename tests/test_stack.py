@@ -18,7 +18,6 @@ from chunkmem.stack import (
     forward_sequence,
     init_state,
     lstm_cell,
-    parameter_count,
     stack_step,
 )
 from chunkmem.memory import ChunkMemory
@@ -154,6 +153,8 @@ def test_config_validation():
         ModelConfig(task="sorting")
     with pytest.raises(ContractError, match="chunk_size"):
         ModelConfig(task="pai", chunk_size=1)
+    with pytest.raises(ContractError, match="chunk_size must be >= 1, got 0"):
+        ModelConfig(chunk_size=0)
     for bad in (dict(d_model=-64), dict(n_heads=0), dict(n_layers=0),
                 dict(dancer_vocab=0), dict(direction_vocab=0),
                 dict(query_vocab=0), dict(n_classes=0), dict(item_dim=0),
@@ -214,7 +215,7 @@ def test_parameter_counts_match_formula():
     for kind, per in (("trxl", per_attn), ("hcam", per_hcam)):
         cfg = ModelConfig(kind=kind, d_model=d, n_heads=2, n_layers=2,
                           n_classes=ncls)
-        assert parameter_count(cfg) == emb + 2 * per
+        assert Model(cfg).n_params() == emb + 2 * per
 
 
 # ---------------------------------------------- step vs sequence: recall

@@ -22,9 +22,9 @@ from chunkmem.tensor import GradTape
 from chunkmem.training import (
     EVAL_STREAM_OFFSET,
     METRICS_COLUMNS,
-    _ballet_step,
     MetricsRow,
     RunConfig,
+    _minibatch,
     build_model,
     evaluate,
     fixed_batch_losses,
@@ -189,6 +189,14 @@ def test_evaluate_is_deterministic():
     assert a == b
 
 
+def test_evaluate_rejects_an_empty_batch():
+    # a batch of 0 episodes would never finish; the CLI tests cover
+    # episode counts below one
+    rc = small_rc()
+    with pytest.raises(ContractError, match="max_batch must be >= 1, got 0"):
+        evaluate(build_model(rc), rc, n_episodes=4, max_batch=0)
+
+
 def test_evaluate_queries_one_row_per_episode_in_the_final_layer(monkeypatch):
     # every layer but the last queries all T rows; the last queries only
     # the row the readout reads, against the last window of keys
@@ -253,7 +261,7 @@ def test_training_step_and_following_evaluate_stay_within_memory_bounds():
     def step():
         tape = GradTape()
         model.watch_all(tape)
-        loss, _ = _ballet_step(tape, model, rc, 0, rc.batch, None)
+        loss, _ = _minibatch(tape, model, rc, 0)
         opt.step(tape.backward(loss))
 
     tracemalloc.start()
