@@ -192,21 +192,13 @@ def multi_head_attention(
     keys_values: Tensor,
     params: AttentionParams,
     n_heads: int,
-    mask: np.ndarray | None = None,
-    key_pos: tuple[np.ndarray, tuple] | None = None,
-    topk: int | None = None,
     counter: ScoreCounter | None = None,
 ) -> Tensor:
-    """Scaled dot-product attention with n_heads heads.
+    """Plain scaled dot-product attention with n_heads heads: every query
+    row attends to every key row, with no mask and no position codes.
 
     queries (..., q, d); keys_values (..., s, d); leading dims broadcast.
-    mask is additive, broadcastable to the (..., q, s) score shape.
-    key_pos = (table, (n, runs)): table rows are position encodings added
-    to the key input (post-norm, pre-projection), row p < n to the key the
-    runs place p at in each query's row (see GradTape.add_placed);
-    realized as an equivalent score-side bias.
-    topk keeps only each head's k highest final scores per query (the rest
-    are masked out before the softmax); None keeps everything.
+    The counter gets one count per (query, key) pair.
     """
     d = queries.shape[-1]
     if d % n_heads != 0:
@@ -217,11 +209,7 @@ def multi_head_attention(
     qh = _split_heads(tape, tape.matmul(queries, params.wq), n_heads)
     kh = _split_heads(tape, tape.matmul(keys_values, params.wk), n_heads)
     vh = _split_heads(tape, tape.matmul(keys_values, params.wv), n_heads)
-    if key_pos is not None:
-        table, placement = key_pos
-        key_pos = (_position_heads(tape, table, params, n_heads), placement)
-    out = _attend(tape, qh, kh, vh, mask=mask, key_pos=key_pos, topk=topk,
-                  counter=counter)
+    out = _attend(tape, qh, kh, vh, counter=counter)
     return tape.matmul(_merge_heads(tape, out), params.wo)
 
 
@@ -319,9 +307,10 @@ def local_attention(
 
     Inputs shorter than MIN_WINDOWS_FOR_BLOCKS reaches are scored as one
     dense block against all S keys, 2S with xl_extra. Longer ones are
-    projected once, then scored in blocks of `reach` queries, each against
-    the 2 * reach keys (4 * reach with xl_extra) any of its queries can
-    reach. The counter counts the pairs scored either way.
+    scored in blocks of `reach` queries, each against the 2 * reach keys
+    (4 * reach with xl_extra) any of its queries can reach. One tail
+    serves both: it projects, attends, merges the heads and applies wo.
+    The counter counts the pairs scored either way.
     """
     if window < 1:
         raise ContractError(f"window must be >= 1, got {window}")
@@ -330,58 +319,61 @@ def local_attention(
     if t_len < 1:
         raise ContractError(f"local_attention needs a query row: {s_total} "
                             f"rows, {n_carry} of them carried")
+    d = seq.shape[-1]
+    if d % n_heads != 0:
+        raise ShapeError(f"d_model {d} not divisible by n_heads {n_heads}")
     reach = window + xl_extra
     n_blocks, k0, left, mask, placement = _local_bands(t_len, n_carry,
                                                        window, reach)
+    lead = seq.shape[:-2]
 
-    if not n_blocks:
+    if n_blocks:
+        right = n_blocks * reach - t_len
+        lpad, rpad = (Tensor(np.zeros(lead + (n, d), seq.dtype))
+                      for n in (left, right))
+        body = tape.slice_ax(seq, -2, k0, s_total) if k0 else seq
+        keys = tape.concat([lpad, body, rpad], axis=-2)
+        queries = tape.slice_ax(keys, -2, reach, (n_blocks + 1) * reach)
+        mask = mask[:, None]
+
+        def pairs(src, w):  # each block's 2 * reach key rows, through w
+            rows = tape.reshape(tape.matmul(src, w),
+                                lead + (n_blocks + 1, reach, d))
+            return [tape.slice_ax(rows, -3, 0, n_blocks),
+                    tape.slice_ax(rows, -3, 1, n_blocks + 1)]
+
+        def project(w):  # (..., n_blocks, 2 * reach, d), 4 * reach with XL
+            parts = pairs(keys, w)
+            if xl_extra:
+                parts = pairs(Tensor(keys.data), w) + parts
+            return tape.concat(parts, axis=-2)
+    else:
         queries = tape.slice_ax(seq, -2, n_carry, s_total) if n_carry else seq
         keys = seq  # with XL, the detached copy first, as mask expects
         if xl_extra:
             keys = tape.concat([Tensor(seq.data), seq], axis=-2)
-        return multi_head_attention(
-            tape, queries, keys, params, n_heads, mask=mask,
-            key_pos=None if pos_table is None else (pos_table, placement),
-            topk=topk, counter=counter)
 
-    d = seq.shape[-1]
-    if d % n_heads != 0:
-        raise ShapeError(f"d_model {d} not divisible by n_heads {n_heads}")
-    lead = seq.shape[:-2]
+        def project(w):
+            return tape.matmul(keys, w)
 
-    def zeros(n):
-        return Tensor(np.zeros(lead + (n, d), dtype=seq.dtype))
-
-    right = n_blocks * reach - t_len
-    body = tape.slice_ax(seq, -2, k0, s_total) if k0 else seq
-    padded = tape.concat([zeros(left), body] + ([zeros(right)] if right else []),
-                         axis=-2)
-
-    def pairs(src, w):  # each block's 2 * reach key rows, through w
-        rows = tape.reshape(tape.matmul(src, w),
-                            lead + (n_blocks + 1, reach, d))
-        return [tape.slice_ax(rows, -3, 0, n_blocks),
-                tape.slice_ax(rows, -3, 1, n_blocks + 1)]
-
-    def key_blocks(w):  # (..., n_blocks, h, 2 * reach, dh), 4 * reach with XL
-        parts = pairs(padded, w)
-        if xl_extra:
-            parts = pairs(Tensor(padded.data), w) + parts
-        return _split_heads(tape, tape.concat(parts, axis=-2), n_heads)
-
-    queries = tape.slice_ax(padded, -2, reach, (n_blocks + 1) * reach)
-    qh = _split_heads(tape, tape.reshape(tape.matmul(queries, params.wq),
-                                         lead + (n_blocks, reach, d)), n_heads)
+    q = tape.matmul(queries, params.wq)
+    if n_blocks:
+        q = tape.reshape(q, lead + (n_blocks, reach, d))
+    qh = _split_heads(tape, q, n_heads)
+    # the position fold goes on the tape before the keys: the tape's order
+    # sets the order of wk's gradient terms, three of them with XL blocks
     key_pos = None
     if pos_table is not None:
         key_pos = (_position_heads(tape, pos_table, params, n_heads),
                    placement)
-    out = _attend(tape, qh, key_blocks(params.wk), key_blocks(params.wv),
-                  mask=mask[:, None], key_pos=key_pos, topk=topk,
-                  counter=counter)
-    out = tape.reshape(_merge_heads(tape, out), lead + (n_blocks * reach, d))
-    if right:
-        out = tape.slice_ax(out, -2, 0, t_len)
+    out = _attend(tape, qh, _split_heads(tape, project(params.wk), n_heads),
+                  _split_heads(tape, project(params.wv), n_heads), mask=mask,
+                  key_pos=key_pos, topk=topk, counter=counter)
+    out = _merge_heads(tape, out)
+    if n_blocks:
+        out = tape.reshape(out, lead + (n_blocks * reach, d))
+        if right:
+            out = tape.slice_ax(out, -2, 0, t_len)
     return tape.matmul(out, params.wo)
 
 

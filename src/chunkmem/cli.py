@@ -9,6 +9,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -100,8 +101,9 @@ def _checked(kwargs: dict) -> RunConfig:
     return rc
 
 
-def _run_config(args) -> RunConfig:
-    """Flags, then the config file for what they leave unset. When the
+def _run_config(args) -> tuple[RunConfig, set]:
+    """Flags, then the config file for what they leave unset; returns the
+    run config and the fields that a flag or the file set. When the
     result is invalid, the file's values are dropped back to their
     defaults from the last line up; if one drop makes it valid, the error
     names that value's path:line, with the error it met there. Otherwise
@@ -116,7 +118,7 @@ def _run_config(args) -> RunConfig:
         if value is not None:
             kwargs[field] = value
     try:
-        return _checked(kwargs)
+        return _checked(kwargs), set(kwargs)
     except ContractError as e:
         first = err = e
     for line, field in sorted(from_file, reverse=True):
@@ -139,7 +141,7 @@ def _require_writable(path: str | None) -> None:
 
 
 def _cmd_train(args) -> int:
-    rc = _run_config(args)
+    rc, _given = _run_config(args)
     _require_writable(args.out)
     _require_writable(args.checkpoint)
 
@@ -160,22 +162,22 @@ def _cmd_train(args) -> int:
     return 0
 
 
+# eval compares these model fields with the checkpoint's always, the others
+# when a flag or the config file sets the run field of _SOURCE or their name
+_ALWAYS_COMPARED = ("task", "n_classes", "item_dim")
+_SOURCE = {"kind": "model", "dancer_vocab": "n_dances"}
+
+
 def _cmd_eval(args) -> int:
-    rc = _run_config(args)
+    rc, given = _run_config(args)
     model = load_checkpoint(args.checkpoint)
-    cfg = model.config
-    if cfg.task != rc.task:
-        raise ShapeMismatchError(
-            f"checkpoint was trained for task {cfg.task!r}, asked to "
-            f"evaluate {rc.task!r}")
-    if rc.task == "ballet" and cfg.n_classes != rc.n_dances:
-        raise ShapeMismatchError(
-            f"checkpoint readout covers {cfg.n_classes} dancers, "
-            f"asked for {rc.n_dances}")
-    if rc.task == "pai" and cfg.item_dim != rc.item_dim:
-        raise ShapeMismatchError(
-            f"checkpoint expects item width {cfg.item_dim}, "
-            f"asked for {rc.item_dim}")
+    asked = model_config(rc)
+    for name in (f.name for f in dataclasses.fields(asked)):
+        have, want = getattr(model.config, name), getattr(asked, name)
+        if have != want and (name in _ALWAYS_COMPARED
+                             or _SOURCE.get(name, name) in given):
+            raise ShapeMismatchError(
+                f"checkpoint has {name} {have!r}, the run asks for {want!r}")
     acc = evaluate(model, rc, n_episodes=args.episodes)
     print(f"eval_acc {acc!r} ({args.episodes} episodes)")
     return 0

@@ -270,38 +270,26 @@ class Model:
 
 @dataclass
 class StackState:
-    """Per-episode recurrent state. Bound to the tape that built it and to
-    one batch shape, which the first input sets when it is None."""
+    """Per-episode recurrent state, bound to the tape that built it and
+    to the batch shape of its first input. carry holds one entry per
+    layer, None until its first step: an attention layer's last span - 1
+    raw inputs (..., rows, d), None while span is 1; an LSTM layer's (h, c).
+    """
 
     batch_shape: tuple | None = None
     memories: list[ChunkMemory] = field(default_factory=list)
-    # per layer, its last span - 1 raw inputs (..., rows, d), or None
-    recent: list[Tensor | None] = field(default_factory=list)
-    lstm_h: list[Tensor] = field(default_factory=list)
-    lstm_c: list[Tensor] = field(default_factory=list)
+    carry: list = field(default_factory=list)
 
 
-def init_state(model: Model, batch_shape: tuple = ()) -> StackState:
-    """A fresh state for inputs with leading axes batch_shape. () and (1,)
-    leave the batch shape to the first input, so one episode may be fed as
-    (d,) steps or as a (T, d) sequence."""
+def init_state(model: Model) -> StackState:
+    """A fresh state, its batch shape left to the first input, so one
+    episode may be fed as (d,) steps or as a (T, d) sequence."""
     cfg = model.config
-    batch_shape = tuple(batch_shape)
-    state = StackState(
-        batch_shape=None if batch_shape in ((), (1,)) else batch_shape)
+    memories = []
     if cfg.kind == "hcam":
-        state.memories = [
-            ChunkMemory(cfg.chunk_size, cfg.overlap, cfg.capacity)
-            for _ in range(cfg.n_layers)
-        ]
-    if cfg.kind == "lstm":
-        lead = batch_shape if batch_shape else (1,)
-        z = np.zeros(lead + (cfg.d_model,), dtype=cfg.np_dtype)
-        state.lstm_h = [Tensor(z.copy()) for _ in range(cfg.n_layers)]
-        state.lstm_c = [Tensor(z.copy()) for _ in range(cfg.n_layers)]
-    else:
-        state.recent = [None] * cfg.n_layers
-    return state
+        memories = [ChunkMemory(cfg.chunk_size, cfg.overlap, cfg.capacity)
+                    for _ in range(cfg.n_layers)]
+    return StackState(memories=memories, carry=[None] * cfg.n_layers)
 
 
 def lstm_cell(tape: GradTape, x: Tensor, h: Tensor, c: Tensor,
@@ -357,29 +345,28 @@ def _forward(tape: GradTape, model: Model, xs: Tensor, state: StackState,
 
     if cfg.kind == "lstm":
         lead = batch_shape if batch_shape else (1,)
+        zeros = Tensor(np.zeros(lead + (cfg.d_model,), dtype=cfg.np_dtype))
         outs = []
         for t in range(t_len):
             x = tape.reshape(tape.slice_ax(xs, -2, t, t + 1),
                              lead + (cfg.d_model,))
             for li, layer in enumerate(model.layers):
-                h2, c2 = lstm_cell(
-                    tape, x, state.lstm_h[li], state.lstm_c[li], layer)
-                state.lstm_h[li] = h2
-                state.lstm_c[li] = c2
-                x = h2
+                h, c = state.carry[li] or (zeros, zeros)
+                x, c = lstm_cell(tape, x, h, c, layer)
+                state.carry[li] = (x, c)
             outs.append(tape.reshape(x, batch_shape + (1, cfg.d_model)))
         return outs[-1] if last_only else tape.concat(outs, axis=-2)
 
     topk = cfg.top_k if cfg.kind == "trxl_topk" else None
     x = xs
     for li, layer in enumerate(model.layers):
-        carry = state.recent[li]
+        carry = state.carry[li]
         seq = x if carry is None else tape.concat([carry, x], axis=-2)
         # the next call's carry: this layer's last span - 1 raw inputs
         s_total = seq.shape[-2]
         keep = min(s_total, cfg.span - 1)
-        state.recent[li] = (tape.slice_ax(seq, -2, s_total - keep, s_total)
-                            if keep else None)
+        state.carry[li] = (tape.slice_ax(seq, -2, s_total - keep, s_total)
+                           if keep else None)
         n_carry = s_total - t_len
         queries = x
         if last_only and li == len(model.layers) - 1:
@@ -436,7 +423,7 @@ def forward_sequence(
     if last_only and xs.shape[-2] == 0:
         raise ContractError("last_only needs at least one timestep")
     if state is None:
-        state = init_state(model, xs.shape[:-2])
+        state = init_state(model)
     return _forward(tape, model, xs, state, counter, last_only), state
 
 

@@ -25,7 +25,7 @@ from .attention import hcam_block, local_attention  # noqa: F401
 from .errors import ContractError
 from .memory import ChunkMemory
 from .rng import episode_rng, make_rng
-from .stack import Model, forward_sequence, init_state
+from .stack import TASKS, Model, forward_sequence, init_state
 from .tensor import GradTape, Tensor
 
 DANCE_NAMES = [
@@ -259,7 +259,7 @@ def pai_forward(tape: GradTape, model: Model, pairs, probe,
     rows = np.asarray(pairs) @ emb.data  # memory contents: constants
     *lead, n_pairs, _, d = rows.shape
     x = tape.matmul(Tensor(np.asarray(probe)[..., None, :]), emb)
-    state = init_state(model, x.shape[:-2])
+    state = init_state(model)
     state.memories = [ChunkMemory(2, capacity=n_pairs) for _ in model.layers]
     for mem in state.memories:
         mem.write(rows.reshape(*lead, 2 * n_pairs, d))
@@ -281,27 +281,29 @@ def dump_episodes_jsonl(path: str, task: str, n_episodes: int, seed: int,
     """Write one JSON object per line; returns the number written."""
     if n_episodes < 1:
         raise ContractError(f"n_episodes must be >= 1, got {n_episodes}")
+    if task not in TASKS:
+        raise ContractError(f"unknown task {task!r}")
+
+    def row(i):
+        rng = episode_rng(seed, i)
+        if task == "ballet":
+            e = generate_ballet_episode(n_dances, delay, rng=rng)
+            return {
+                "task": "ballet", "episode": i, "n_dances": e.n_dances,
+                "delay": e.delay, "dancers": e.dancers.tolist(),
+                "directions": e.directions.tolist(),
+                "queries": e.queries.tolist(), "label": e.label,
+            }
+        e = generate_pai_episode(chain_length, n_pairs, item_dim=item_dim,
+                                 rng=rng)
+        return {
+            "task": "pai", "episode": i, "chain_length": e.chain_length,
+            "pairs": e.pairs.tolist(), "probe": e.probe.tolist(),
+            "choices": e.choices.tolist(), "label": e.label,
+        }
+
+    first = row(0)  # bad arguments fail here, leaving an existing file as is
     with open(path, "w") as f:
         for i in range(n_episodes):
-            rng = episode_rng(seed, i)
-            if task == "ballet":
-                e = generate_ballet_episode(n_dances, delay, rng=rng)
-                row = {
-                    "task": "ballet", "episode": i, "n_dances": e.n_dances,
-                    "delay": e.delay, "dancers": e.dancers.tolist(),
-                    "directions": e.directions.tolist(),
-                    "queries": e.queries.tolist(), "label": e.label,
-                }
-            elif task == "pai":
-                e = generate_pai_episode(chain_length, n_pairs,
-                                         item_dim=item_dim, rng=rng)
-                row = {
-                    "task": "pai", "episode": i,
-                    "chain_length": e.chain_length,
-                    "pairs": e.pairs.tolist(), "probe": e.probe.tolist(),
-                    "choices": e.choices.tolist(), "label": e.label,
-                }
-            else:
-                raise ContractError(f"unknown task {task!r}")
-            f.write(json.dumps(row, sort_keys=True) + "\n")
+            f.write(json.dumps(row(i) if i else first, sort_keys=True) + "\n")
     return n_episodes

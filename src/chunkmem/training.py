@@ -15,6 +15,7 @@ stored values to Model.from_params; no random model is built.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -95,10 +96,17 @@ class RunConfig:
             raise ContractError(f"batch must be >= 1, got {self.batch}")
         if self.steps < 0:
             raise ContractError(f"steps must be >= 0, got {self.steps}")
+        for name in ("lr", "aux_weight", "target_accuracy"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.lr <= 0:
             raise ContractError(f"lr must be > 0, got {self.lr}")
         if self.aux_weight < 0:
             raise ContractError(f"aux_weight must be >= 0, got {self.aux_weight}")
+        if not 0 <= self.target_accuracy <= 1:
+            raise ContractError(f"target_accuracy must be in [0, 1], got "
+                                f"{self.target_accuracy}")
         if self.eval_every < 1:
             raise ContractError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.eval_episodes < 1:

@@ -9,6 +9,7 @@ and deterministic, so the measured accuracies reproduce exactly.
 from time import perf_counter
 
 import numpy as np
+import pytest
 
 from chunkmem.attention import (
     AttentionParams,
@@ -167,6 +168,7 @@ BALLET_DESK = dict(task="ballet", n_dances=2, delay=16, model="hcam",
                    eval_every=200, eval_episodes=200, dtype="float32")
 
 
+@pytest.mark.slow
 def test_criterion_04_ballet_desk_scale():
     rc = RunConfig(top_k=2, steps=30000, seed=0, target_accuracy=0.95,
                    **BALLET_DESK)
@@ -186,6 +188,7 @@ def test_criterion_04_ballet_desk_scale():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_05_ballet_k1():
     rc = RunConfig(top_k=1, steps=30000, seed=0, target_accuracy=0.90,
                    **BALLET_DESK)
@@ -202,6 +205,7 @@ def test_criterion_05_ballet_k1():
 
 # ---------------------------------------------------------------- 6
 
+@pytest.mark.slow
 def test_criterion_06_paired_association():
     base = dict(task="pai", n_pairs=8, item_dim=32, model="hcam", d_model=64,
                 n_layers=2, n_heads=4, chunk_size=8, top_k=2, local_window=16,

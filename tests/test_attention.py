@@ -562,6 +562,53 @@ def test_hcam_sparsity_locality_bitwise():
     assert np.array_equal(base.data, pert.data)
 
 
+@pytest.mark.parametrize("windows", [None, "distinct"])
+def test_hcam_locality_at_2048_chunks(windows):
+    # one query that sees every chunk, or rows that each see their own
+    # window: perturbing every chunk no row picked changes neither the
+    # output nor, on a recording tape, any gradient
+    p, rng = small_block(40)
+    n, c, k = 2048, 4, 2
+    chunks = rng.normal(size=(n, c, 8))
+    summaries = chunks.mean(axis=1)
+    pos = sinusoidal_table(c, 8)
+    if windows is None:
+        x, visible, bounds = rng.normal(size=(1, 8)), None, [(0, n)]
+    else:
+        lo, hi = np.array([0, 0, 7, 500, 1024, 2040]), np.array(
+            [2048, 1500, 900, 2048, 1100, 2048])
+        x, visible, bounds = rng.normal(size=(6, 8)), (lo, hi), zip(lo, hi)
+    tape = GradTape(recording=False)
+    normed = tape.layer_norm(Tensor(x), p.ln_gain, p.ln_bias).data
+    picked = np.unique(np.concatenate([
+        top_k_select(chunk_relevance(tape, Tensor(normed[t:t + 1]),
+                                     Tensor(summaries[a:b]), p.w_rel).data,
+                     k).reshape(-1) + a
+        for t, (a, b) in enumerate(bounds)]))
+    unpicked = np.setdiff1d(np.arange(n), picked)
+    assert unpicked.size >= n - k * x.shape[0]
+
+    def run(chunks):
+        tape, xt = GradTape(), Tensor(x)
+        watched = [xt, p.ln_gain, p.ln_bias, p.w_rel, p.mha.wq, p.mha.wk,
+                   p.mha.wv, p.mha.wo]
+        for t in watched:
+            tape.watch(t)
+        out = hcam_block(tape, xt, summaries, chunks, p, n_heads=2, top_k=k,
+                         pos_table=pos, visible=visible)
+        g = tape.backward(tape.reduce_sum(tape.tanh(out)))
+        return [out.data] + [g[t].data for t in watched]
+
+    base = run(chunks)
+    perturbed = chunks.copy()
+    perturbed[unpicked] += rng.normal(size=(unpicked.size, c, 8)) * 10.0
+    for a, b in zip(base, run(perturbed), strict=True):
+        assert np.array_equal(a, b)
+    # and the check can fail: moving a picked chunk moves the output
+    perturbed[picked[0]] += 1.0
+    assert not np.array_equal(base[0], run(perturbed)[0])
+
+
 def test_hcam_gradients_flow_to_params_not_memory():
     p, rng = small_block(20)
     x = Tensor(rng.normal(size=(3, 8)))

@@ -86,6 +86,30 @@ def test_eval_task_mismatch_is_one_line_error(tmp_path, capsys):
     assert lines[0].startswith("error: ShapeMismatchError:")
 
 
+def test_eval_model_flag_disagreeing_with_checkpoint_is_one_line_error(
+        tmp_path, capsys):
+    ckpt = tmp_path / "h16.ckpt"
+    assert main(["train", "--d-model", "16", "--steps", "1", "--batch", "2",
+                 "--delay", "4", "--eval-episodes", "2",
+                 "--checkpoint", str(ckpt)]) == 0
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(ckpt), "--delay", "4",
+                 "--episodes", "8", "--model", "trxl", "--d-model", "32"])
+    assert code == 2
+    assert error_lines(capsys) == [
+        "error: ShapeMismatchError: checkpoint has kind 'hcam', the run "
+        "asks for 'trxl'"]
+    code = main(["eval", "--checkpoint", str(ckpt), "--delay", "4",
+                 "--episodes", "8", "--d-model", "32"])
+    assert code == 2
+    assert error_lines(capsys) == [
+        "error: ShapeMismatchError: checkpoint has d_model 16, the run "
+        "asks for 32"]
+    # flags that agree with the checkpoint are fine
+    assert main(["eval", "--checkpoint", str(ckpt), "--delay", "4",
+                 "--episodes", "8", "--model", "hcam", "--d-model", "16"]) == 0
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dances 2\ndelay = 4\nd-model 32\nbatch 4\nsteps 4\n"
@@ -156,6 +180,28 @@ def test_pai_with_one_row_chunks_is_one_line_error(capsys):
     assert "chunk_size" in lines[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--aux-weight", "nan"],
+    ["train", "--target-acc", "nan"],
+    ["train", "--target-acc", "1.5"],
+    ["train", "--lr", "inf"],
+    ["train", "--lr", "nan"],
+    ["train", "--seed", "-1"],
+    ["dump-episodes", "--seed", "-1"],
+    ["bench", "--seed", "-1", "--trials", "1"],
+    ["gradcheck", "--seed", "-1"],
+])
+def test_bad_run_setting_is_one_line_contract_error(tmp_path, capsys, argv):
+    if argv[0] == "train":
+        argv = argv + ["--steps", "1", "--batch", "2", "--delay", "4"]
+    if argv[0] == "dump-episodes":
+        argv = argv + ["--out", str(tmp_path / "eps.jsonl")]
+    assert main(argv) == 2
+    lines = error_lines(capsys)
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ContractError:")
+
+
 def test_unwritable_output_path_rejected(tmp_path, capsys):
     code = main(["train", *TRAIN_SMALL, "--out",
                  str(tmp_path / "no" / "such" / "dir" / "m.csv")])
@@ -199,6 +245,18 @@ def test_dump_episodes_count_below_one_is_one_line_error(tmp_path, capsys):
     assert error_lines(capsys) == [
         "error: ContractError: n_episodes must be >= 1, got -1"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--task", "chess"], ["--dances", "0"]])
+def test_failed_dump_leaves_an_existing_file_alone(tmp_path, capsys, flags):
+    out = tmp_path / "eps.jsonl"
+    out.write_text("keep")
+    code = main(["dump-episodes", *flags, "--out", str(out)])
+    assert code == 2
+    lines = error_lines(capsys)
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ContractError:")
+    assert out.read_text() == "keep"
 
 
 def test_dump_episodes_round_trip(tmp_path, capsys):

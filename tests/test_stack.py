@@ -382,7 +382,7 @@ def last_only_model(kind, xl):
 def twin_states(tape, model, pre):
     """Two equal states after the same pre rows (fresh ones when pre=0)."""
     if not pre.shape[-2]:
-        return init_state(model, (2,)), init_state(model, (2,))
+        return init_state(model), init_state(model)
     return tuple(forward_sequence(tape, model, Tensor(pre))[1] for _ in "ab")
 
 
@@ -391,8 +391,12 @@ def assert_states_equal(a: StackState, b: StackState):
         assert ma.n_chunks == mb.n_chunks
         for name in ("summaries", "chunks", "buffer"):
             assert np.array_equal(getattr(ma, name), getattr(mb, name))
-    carried_a = a.recent + a.lstm_h + a.lstm_c
-    carried_b = b.recent + b.lstm_h + b.lstm_c
+
+    def carried(state):  # an LSTM layer carries (h, c)
+        return [t for e in state.carry
+                for t in (e if isinstance(e, tuple) else (e,))]
+
+    carried_a, carried_b = carried(a), carried(b)
     assert len(carried_a) == len(carried_b) > 0
     for ta, tb in zip(carried_a, carried_b):
         assert (ta is None) == (tb is None)
@@ -464,7 +468,7 @@ def test_each_layer_carries_one_tensor_of_its_last_raw_inputs(kind,
 
     def check(state, steps):
         keep = min(steps, cfg.span - 1)
-        for li, carry in enumerate(state.recent):
+        for li, carry in enumerate(state.carry):
             if keep == 0:
                 assert carry is None
                 continue
@@ -474,7 +478,7 @@ def test_each_layer_carries_one_tensor_of_its_last_raw_inputs(kind,
 
     rng = make_rng(6)
     tape = GradTape()
-    state, steps = init_state(model, (2,)), 0
+    state, steps = init_state(model), 0
     check(state, steps)
     for t_len in (1, 2, 7):
         xs = rng.normal(size=(2, t_len, 8))
@@ -661,14 +665,14 @@ def test_batch_shape_disagreeing_with_state_raises(kind):
     y = stack_step(tape, model, state, Tensor(rows[3].reshape(1, 1, 8)))
     assert np.array_equal(y.data.reshape(8), run_steps(model, rows[:4])[3])
 
-    batched = init_state(model, (2,))
+    # a batched first input binds a fresh state to its batch shape
+    batched = init_state(model)
+    forward_sequence(tape, model, Tensor(np.stack([rows[:2], rows[2:4]])),
+                     batched)
     with pytest.raises(ShapeError):
         forward_sequence(tape, model, Tensor(rows), batched)
-    # () and (1,) leave the batch shape to the first input
-    for lead in ((), (1,)):
-        y, _ = forward_sequence(tape, model, Tensor(rows),
-                                init_state(model, lead))
-        assert np.array_equal(y.data, run_sequence(model, rows))
+    y, _ = forward_sequence(tape, model, Tensor(rows), init_state(model))
+    assert np.array_equal(y.data, run_sequence(model, rows))
 
 
 # ------------------------------------------------------- XL baseline layers
