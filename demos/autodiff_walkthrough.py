@@ -25,7 +25,7 @@ params = {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
 def loss_on_tape(tape):
     h = tape.tanh(tape.add(tape.matmul(Tensor(x), w1), b1))
     pred = tape.add(tape.matmul(h, w2), b2)
-    err = tape.subtract(pred, Tensor(y))
+    err = tape.add(pred, Tensor(-y))
     return tape.scale(tape.reduce_sum(tape.multiply(err, err)), 1 / len(x))
 
 

@@ -16,7 +16,6 @@ from chunkmem.attention import (
     HcamParams,
     chunk_relevance,
     hcam_block,
-    relative_attention_weights,
     sinusoidal_table,
     top_k_select,
 )
@@ -56,7 +55,7 @@ query = Tensor((special + 0.1 * rng.normal(size=d)).reshape(1, d))
 normed = tape.layer_norm(query, params.ln_gain, params.ln_bias)
 rel = chunk_relevance(tape, normed, Tensor(summaries), params.w_rel)
 
-ratios = relative_attention_weights(rel.data)[0]
+ratios = rel.data[0] * rel.shape[-1]  # 1.0 is a chunk's uniform share
 print("\nrelevance vs uniform share (1.0 = no preference):")
 for i, r in enumerate(ratios):
     bar = "#" * int(round(r * 10))

@@ -597,12 +597,3 @@ def hcam_block(
         return out
     parts = [tape.slice_ax(x, -2, 0, r0), out, tape.slice_ax(x, -2, r1, nq)]
     return tape.concat([p for p in parts if p.shape[-2]], axis=-2)
-
-
-def relative_attention_weights(weights: np.ndarray) -> np.ndarray:
-    """Attention weights divided by the uniform weight 1/N over the last axis.
-
-    1.0 means a chunk got exactly its share; the mean over any row is 1.
-    """
-    w = np.asarray(weights)
-    return w * w.shape[-1]

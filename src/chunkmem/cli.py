@@ -94,13 +94,6 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _checked(kwargs: dict) -> RunConfig:
-    """The run config, once it and the model config it makes are valid."""
-    rc = RunConfig(**kwargs)
-    model_config(rc)
-    return rc
-
-
 def _run_config(args) -> tuple[RunConfig, set]:
     """Flags, then the config file for what they leave unset; returns the
     run config and the fields that a flag or the file set. When the
@@ -118,13 +111,13 @@ def _run_config(args) -> tuple[RunConfig, set]:
         if value is not None:
             kwargs[field] = value
     try:
-        return _checked(kwargs), set(kwargs)
+        return RunConfig(**kwargs), set(kwargs)
     except ContractError as e:
         first = err = e
     for line, field in sorted(from_file, reverse=True):
         del kwargs[field]
         try:
-            _checked(kwargs)
+            RunConfig(**kwargs)
         except ContractError as e:
             err = e
             continue

@@ -30,4 +30,5 @@ class TruncatedBlobError(CheckpointError):
 
 
 class NonFiniteLossError(RuntimeError):
-    """Training produced a NaN or infinite loss; message names the step."""
+    """Training produced a NaN or infinite loss, or evaluation non-finite
+    logits; the message names the step or the episode."""

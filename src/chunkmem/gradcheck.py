@@ -88,8 +88,6 @@ def _op_cases(rng):
          lambda tp, v: tp.reduce_sum(tp.tanh(tp.add(v["a"], v["b"]))))
     case("add_broadcast", {"a": r(3, 4), "b": r(4)},
          lambda tp, v: tp.reduce_sum(tp.tanh(tp.add(v["a"], v["b"]))))
-    case("subtract", {"a": r(3, 4), "b": r(3, 4)},
-         lambda tp, v: tp.reduce_sum(tp.tanh(tp.subtract(v["a"], v["b"]))))
     case("multiply", {"a": r(3, 4), "b": r(3, 4)},
          lambda tp, v: tp.reduce_sum(tp.tanh(tp.multiply(v["a"], v["b"]))))
     case("multiply_broadcast", {"a": r(2, 3, 4), "b": r(3, 1)},

@@ -288,19 +288,12 @@ def dump_episodes_jsonl(path: str, task: str, n_episodes: int, seed: int,
         rng = episode_rng(seed, i)
         if task == "ballet":
             e = generate_ballet_episode(n_dances, delay, rng=rng)
-            return {
-                "task": "ballet", "episode": i, "n_dances": e.n_dances,
-                "delay": e.delay, "dancers": e.dancers.tolist(),
-                "directions": e.directions.tolist(),
-                "queries": e.queries.tolist(), "label": e.label,
-            }
-        e = generate_pai_episode(chain_length, n_pairs, item_dim=item_dim,
-                                 rng=rng)
-        return {
-            "task": "pai", "episode": i, "chain_length": e.chain_length,
-            "pairs": e.pairs.tolist(), "probe": e.probe.tolist(),
-            "choices": e.choices.tolist(), "label": e.label,
-        }
+        else:
+            e = generate_pai_episode(chain_length, n_pairs, item_dim=item_dim,
+                                     rng=rng)
+        return {"task": task, "episode": i, **{
+            k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in vars(e).items()}}
 
     first = row(0)  # bad arguments fail here, leaving an existing file as is
     with open(path, "w") as f:

@@ -7,7 +7,7 @@ that produced them) and are cheap to copy between threads, but a single tape
 must only ever be used from one thread.
 
 64-bit floats are the default so finite-difference checks have headroom;
-training code may opt into 32-bit via the dtype argument.
+a float32 array is kept as it is, so training code may run in 32 bits.
 """
 
 from __future__ import annotations
@@ -30,15 +30,13 @@ class Tensor:
 
     __slots__ = ("data", "_tape", "_node")
 
-    def __init__(self, data, dtype=None):
-        if (dtype is None and type(data) is np.ndarray
+    def __init__(self, data):
+        if (type(data) is np.ndarray
                 and (data.dtype is _F32 or data.dtype is _F64)):
             a = data  # what np.asarray would return, without its cost
         else:
             a = np.asarray(data)
-            if dtype is not None:
-                a = a.astype(dtype, copy=False)
-            elif a.dtype not in (np.float32, np.float64):
+            if a.dtype not in (np.float32, np.float64):
                 a = a.astype(np.float64)
         self.data = a
         self._tape = None
@@ -199,20 +197,6 @@ class GradTape:
         def bwd(g):
             return (_unbroadcast(g, ash) if need_a else None,
                     _unbroadcast(g, bsh) if need_b else None)
-
-        return self._emit(out, (a, b), bwd)
-
-    def subtract(self, a: Tensor, b: Tensor) -> Tensor:
-        try:
-            out = a.data - b.data
-        except ValueError:
-            raise ShapeError(f"subtract: cannot broadcast {a.shape} with {b.shape}")
-        ash, bsh = a.shape, b.shape
-        need_a, need_b = self._live(a), self._live(b)
-
-        def bwd(g):
-            return (_unbroadcast(g, ash) if need_a else None,
-                    _unbroadcast(-g, bsh) if need_b else None)
 
         return self._emit(out, (a, b), bwd)
 

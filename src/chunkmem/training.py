@@ -3,7 +3,8 @@
 A run is described by a RunConfig (task + model + optimizer settings).
 Episodes come from per-index seed streams, so a run with the same seed
 reproduces its metrics bitwise except for the wall-clock column. Training
-aborts with NonFiniteLossError the moment the loss stops being finite.
+aborts with NonFiniteLossError the moment the loss stops being finite, and
+evaluation the moment its logits do.
 
 Checkpoints are a single file: a text manifest (schema version, model
 configuration, parameter names/shapes/byte offsets) followed by one blank
@@ -31,8 +32,7 @@ from .errors import (
     VersionMismatchError,
 )
 from .optim import Adam
-from .stack import (KINDS, TASKS, Model, ModelConfig, forward_sequence,
-                    param_specs)
+from .stack import KINDS, Model, ModelConfig, forward_sequence, param_specs
 from .tasks import (
     ballet_batch,
     ballet_logits,
@@ -87,8 +87,6 @@ class RunConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise ContractError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.model not in MODEL_NAMES:
             raise ContractError(
                 f"model must be one of {MODEL_NAMES}, got {self.model!r}")
@@ -114,6 +112,7 @@ class RunConfig:
                 f"eval_episodes must be >= 1, got {self.eval_episodes}")
         if self.task == "pai" and self.model != "hcam":
             raise ContractError("the pai task runs on the hcam model only")
+        model_config(self)  # the model settings, checked by ModelConfig
 
 
 def model_config(rc: RunConfig) -> ModelConfig:
@@ -212,11 +211,13 @@ def _minibatch(tape, model, rc, start, counter=None):
     return loss, _correct(logits, labels)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finite check reports it
 def evaluate(model: Model, rc: RunConfig, n_episodes: int | None = None,
              stream_offset: int = EVAL_STREAM_OFFSET,
              max_batch: int = 256) -> float:
     """Accuracy on held-out episodes (a fixed stream disjoint from training),
-    run max_batch episodes at a time."""
+    run max_batch episodes at a time. Logits that are not finite raise
+    NonFiniteLossError, since they would score every episode as class 0."""
     n = rc.eval_episodes if n_episodes is None else n_episodes
     if n < 1:
         raise ContractError(f"n_episodes must be >= 1, got {n}")
@@ -227,10 +228,14 @@ def evaluate(model: Model, rc: RunConfig, n_episodes: int | None = None,
     for done in range(0, n, max_batch):
         logits, labels, _ = _batch(tape, model, rc, stream_offset + done,
                                    min(max_batch, n - done), last_only=True)
+        if not np.isfinite(logits.data).all():
+            raise NonFiniteLossError(
+                f"evaluation logits became non-finite at episode {done}")
         correct += _correct(logits, labels)
     return correct / n
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finite checks report it
 def train(rc: RunConfig, metrics_path: str | None = None,
           checkpoint_path: str | None = None, progress=None,
           init_model: Model | None = None) -> tuple[Model, list[MetricsRow]]:
@@ -272,8 +277,8 @@ def train(rc: RunConfig, metrics_path: str | None = None,
                                    counter)
         value = float(loss.data)
         if not np.isfinite(value):
-            norms = ", ".join(
-                f"{k}={float(np.linalg.norm(p.data)):.3e}"
+            norms = ", ".join(  # in float64: float32 weights near 1e31 are finite
+                f"{k}={np.linalg.norm(p.data.astype(np.float64)):.3e}"
                 for k, p in model.params.items())
             raise NonFiniteLossError(
                 f"loss became {value!r} at step {step}; parameter norms: {norms}")
@@ -307,22 +312,6 @@ def train(rc: RunConfig, metrics_path: str | None = None,
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, model)
     return model, rows
-
-
-def fixed_batch_losses(rc: RunConfig, n_updates: int) -> list[float]:
-    """Losses from repeatedly updating on one fixed batch; a sanity probe
-    that the optimizer actually descends (each loss is measured before the
-    update it feeds)."""
-    model = build_model(rc)
-    opt = Adam(model.params, lr=rc.lr, beta1=rc.beta1, beta2=rc.beta2)
-    losses = []
-    for _ in range(n_updates):
-        tape = GradTape()
-        model.watch_all(tape)
-        loss, _ = _minibatch(tape, model, rc, 0)
-        losses.append(float(loss.data))
-        opt.step(tape.backward(loss))
-    return losses
 
 
 # ------------------------------------------------------------- checkpoints

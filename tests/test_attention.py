@@ -12,7 +12,6 @@ from chunkmem.attention import (
     hcam_block,
     local_attention,
     multi_head_attention,
-    relative_attention_weights,
     sinusoidal_table,
     top_k_select,
 )
@@ -724,13 +723,6 @@ def test_hcam_rejects_a_short_position_table():
 
 
 # ---- small utilities ----
-
-def test_relative_attention_weights():
-    r = np.array([[0.5, 0.25, 0.25], [1 / 3, 1 / 3, 1 / 3]])
-    got = relative_attention_weights(r)
-    assert np.max(np.abs(got - [[1.5, 0.75, 0.75], [1, 1, 1]])) < 1e-9
-    assert np.max(np.abs(got.mean(-1) - 1.0)) < 1e-9
-
 
 def test_sinusoidal_table_shape_and_range():
     t = sinusoidal_table(16, 8)

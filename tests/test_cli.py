@@ -1,6 +1,11 @@
 """Command-line surface: flags, config file, outputs, exit codes."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +264,18 @@ def test_failed_dump_leaves_an_existing_file_alone(tmp_path, capsys, flags):
     assert out.read_text() == "keep"
 
 
+@pytest.mark.parametrize("flags, digest", [
+    (["--task", "ballet", "--dances", "4", "--delay", "7"], "776fad49080e32f0"),
+    (["--task", "pai", "--chain-length", "3", "--pairs", "6",
+      "--item-dim", "5"], "158753f9ec59b682"),
+])
+def test_dump_episodes_bytes_are_pinned(tmp_path, capsys, flags, digest):
+    out = tmp_path / "eps.jsonl"
+    assert main(["dump-episodes", *flags, "--episodes", "5", "--seed", "3",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+
 def test_dump_episodes_round_trip(tmp_path, capsys):
     out = tmp_path / "eps.jsonl"
     code = main(["dump-episodes", "--task", "pai", "--chain-length", "3",
@@ -282,3 +299,22 @@ def test_gradcheck_passes_and_fails_by_tolerance(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--steps", "3"],  # the second step's loss is nan
+    ["--steps", "1", "--eval-episodes", "4"],  # evaluate sees inf logits
+])
+def test_overflowing_lr_is_one_stderr_line_and_saves_nothing(tmp_path, flags):
+    # a subprocess, since pytest would capture NumPy's warnings
+    ckpt = tmp_path / "X.ckpt"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "chunkmem.cli", "train", "--lr", "1e30",
+         "--batch", "2", "--delay", "4", *flags, "--checkpoint", str(ckpt)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    lines = [ln for ln in done.stderr.splitlines() if ln]
+    assert len(lines) == 1, done.stderr
+    assert lines[0].startswith("error: NonFiniteLossError:")
+    assert not ckpt.exists()

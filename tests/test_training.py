@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from chunkmem.training import (
     _minibatch,
     build_model,
     evaluate,
-    fixed_batch_losses,
     load_checkpoint,
     model_config,
     read_metrics_csv,
@@ -63,6 +63,15 @@ def test_run_config_validation():
         RunConfig(eval_every=0)
     with pytest.raises(ContractError):
         RunConfig(task="pai", model="trxl")
+    # model settings are checked when the run config is built
+    with pytest.raises(ContractError, match="not divisible"):
+        RunConfig(d_model=30, n_heads=4)
+    with pytest.raises(ContractError, match="chunk_size >= 2"):
+        RunConfig(task="pai", chunk_size=1)
+    with pytest.raises(ContractError, match="top_k"):
+        RunConfig(top_k=0)
+    with pytest.raises(ContractError, match="float16"):
+        RunConfig(dtype="float16")
 
 
 def test_model_config_mapping():
@@ -144,8 +153,15 @@ def test_early_stop_on_target_accuracy():
 def test_fixed_batch_loss_strictly_decreases_50_steps():
     rc = RunConfig(task="ballet", n_dances=2, delay=16, batch=8,
                    lr=2e-4, seed=0)
-    losses = fixed_batch_losses(rc, 50)
-    assert len(losses) == 50
+    model = build_model(rc)
+    opt = Adam(model.params, lr=rc.lr, beta1=rc.beta1, beta2=rc.beta2)
+    losses = []
+    for _ in range(50):  # each loss is measured before the update it feeds
+        tape = GradTape()
+        model.watch_all(tape)
+        loss, _ = _minibatch(tape, model, rc, 0)
+        losses.append(float(loss.data))
+        opt.step(tape.backward(loss))
     assert all(np.isfinite(losses))
     for i in range(len(losses) - 1):
         assert losses[i + 1] < losses[i], (
@@ -155,11 +171,25 @@ def test_fixed_batch_loss_strictly_decreases_50_steps():
 def test_divergent_lr_aborts_with_named_step():
     rc = small_rc(lr=1e5, steps=200, eval_every=1000)
     with pytest.raises(NonFiniteLossError) as exc:
-        with np.errstate(all="ignore"):  # overflow on the way down is the point
-            train(rc)
+        train(rc)
     msg = str(exc.value)
     assert "step" in msg
     assert "parameter norms" in msg
+
+
+@pytest.mark.parametrize("steps, where", [
+    (3, "loss became nan at step 2"),  # the second step's loss
+    (1, "evaluation logits"),  # the one step's update, seen by evaluate
+])
+def test_overflowing_lr_raises_without_numpy_warnings(steps, where):
+    rc = small_rc(lr=1e30, steps=steps, batch=2, eval_every=1000,
+                  eval_episodes=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteLossError, match=where) as exc:
+            train(rc)
+    # the float32 parameters are finite, near 1e31, and so are their norms
+    assert "=inf" not in str(exc.value)
 
 
 # ------------------------------------------------------------- chance level
