@@ -473,6 +473,16 @@ def _recall_folds(tape: GradTape, m: AttentionParams, dtype, n_heads: int,
                  tables=() if pos is None else (pos,))
 
 
+def _chunk_rows(chunks: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The rows of the chunks ids (..., q, k) names in chunks (..., N, C, d),
+    each query row's k chunks end to end: (..., q, k * C, d). One take_rows
+    on a tape that records nothing: the gather has no backward."""
+    *lead, q, k = ids.shape
+    rows = GradTape(recording=False).take_rows(Tensor(chunks),
+                                               ids.reshape(*lead, q * k))
+    return rows.data.reshape(*lead, q, k * chunks.shape[-2], chunks.shape[-1])
+
+
 def hcam_block(
     tape: GradTape,
     x: Tensor,
@@ -502,7 +512,9 @@ def hcam_block(
     selected chunk rows as constants, scores them against the query folded
     through wq_h wk_h^T, softmaxes per chunk, weights by relevance and sums
     the rows; only that sum passes through wv_h and wo. Position codes
-    enter as C-row terms, so no stored row is ever projected.
+    enter as C-row terms, so no stored row is ever projected. The gathered
+    rows are not kept for backward, which gathers them again from chunks
+    and the selected ids, once: chunks must not change before backward.
 
     The products of the MHA weights alone (wq_h wk_h^T, wv_h wo and the
     position rows through it) are built once per weight value: on a tape
@@ -571,15 +583,22 @@ def hcam_block(
 
     # phase 2: one detail read over all rows, in input space
     h = n_heads
-    rows = tape.take_rows(Tensor(chunks), ids.reshape(*lead, q * kk))
-    rows = rows.data.reshape(*lead, q, kk * c, d)
+    rows = _chunk_rows(chunks, ids)
+    again = []  # backward's rows: gathered by the first read, gone after both
+
+    def rows_again():
+        if not again:
+            again.append(_chunk_rows(chunks, ids))
+        return again[0]
+
     pos = None
     if pos_table is not None:
         pos = pos_table[:c].astype(x.dtype, copy=False)
     wqk, wvo, pvo = _recall_folds(tape, params.mha, x.dtype, h, kk, pos)
     qt = tape.matmul(normed, wqk)
     qt = tape.reshape(qt, (*lead, q, h, d))  # key-folded query per head
-    scores = tape.matmul(qt, Tensor(rows.swapaxes(-1, -2)))
+    scores = tape.matmul(qt, Tensor(rows.swapaxes(-1, -2)),
+                         b_again=lambda: rows_again().swapaxes(-1, -2))
     scores = tape.reshape(scores, (*lead, q, h, kk, c))
     if pos is not None:
         scores = tape.add(scores, tape.reshape(
@@ -587,7 +606,9 @@ def hcam_block(
     att = tape.multiply(tape.softmax(scores, axis=-1),
                         tape.reshape(weights, (*lead, q, 1, kk, 1)))
     att = tape.reshape(att, (*lead, q, h, kk * c))
-    read = tape.reshape(tape.matmul(att, Tensor(rows)), (*lead, q, h * d))
+    read = tape.reshape(tape.matmul(att, Tensor(rows), b_again=rows_again),
+                        (*lead, q, h * d))
+    del rows  # the rest of the forward runs without them
     out = tape.matmul(read, wvo)
     if pos is not None:  # sum_j att_j . (pos wv_h wo_h), for all heads
         out = tape.add(out, tape.matmul(

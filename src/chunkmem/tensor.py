@@ -96,6 +96,59 @@ class _SpentNodes(list):
 _SPENT = _SpentNodes()
 
 
+class _SliceGrad:
+    """A slice's gradient g, which belongs at [start, stop) along axis of
+    its source's gradient, of the given shape. backward() adds it there,
+    in place where it can, with no zero-filled array of the source's size."""
+
+    __slots__ = ("g", "axis", "start", "stop", "shape")
+
+    def __init__(self, g, axis, start, stop, shape):
+        self.g, self.axis, self.start, self.stop = g, axis, start, stop
+        self.shape = shape
+
+    @property
+    def dtype(self):
+        return self.g.dtype
+
+    def add_to(self, acc, box):
+        """(acc plus this gradient, the box that may hold -0.0 after it).
+
+        acc is None, or backward's own array with box the (lo, hi) per
+        axis outside of which it holds no -0.0, or, with box None, an array
+        it may not write to. A zero-filled addend would have added 0.0
+        outside the slice, which turns -0.0 into 0.0 and nothing else, so
+        that is done there, in the box alone.
+        """
+        g, axis, s, e = self.g, self.axis, self.start, self.stop
+        whole = tuple((0, n) for n in self.shape)
+        at = _span(whole, axis, s, e)
+        if acc is None:
+            acc = np.zeros(self.shape, dtype=g.dtype)
+            acc[_cut(at)] = g
+            return acc, at
+        dtype = np.result_type(acc.dtype, g.dtype)
+        if box is None or acc.dtype != dtype:
+            acc, box = acc.astype(dtype), box or whole
+        lo, hi = box[axis]
+        for part in (_span(box, axis, lo, min(hi, s)),
+                     _span(box, axis, max(lo, e), hi)):
+            outside = acc[_cut(part)]
+            outside += 0.0
+        acc[_cut(at)] += g
+        return acc, _span(box, axis, max(lo, s), min(hi, e))
+
+
+def _span(box, axis, lo, hi) -> tuple:
+    """box, a (lo, hi) per axis, with [lo, hi) on axis."""
+    return box[:axis] + ((lo, hi),) + box[axis + 1:]
+
+
+def _cut(box) -> tuple:
+    """The basic index of a box."""
+    return tuple(slice(lo, hi) for lo, hi in box)
+
+
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -139,6 +192,10 @@ class GradTape:
     the binary ops and concat never compute a gradient for a constant
     operand, so detached memory contents and additive masks cost nothing
     at backward time.
+
+    A node keeps only what its backward reads: multiply and matmul keep an
+    operand only when the other one is live, since each side's gradient
+    reads the other side alone, and slice_ax keeps no array at all.
     """
 
     def __init__(self, recording: bool = True):
@@ -201,17 +258,18 @@ class GradTape:
         return self._emit(out, (a, b), bwd)
 
     def multiply(self, a: Tensor, b: Tensor) -> Tensor:
-        ad, bd = a.data, b.data
         try:
-            out = ad * bd
+            out = a.data * b.data
         except ValueError:
             raise ShapeError(f"multiply: cannot broadcast {a.shape} with {b.shape}")
         ash, bsh = a.shape, b.shape
-        need_a, need_b = self._live(a), self._live(b)
+        # each side's gradient reads the other operand: keep only those
+        ad = a.data if self._live(b) else None
+        bd = b.data if self._live(a) else None
 
         def bwd(g):
-            return (_unbroadcast(g * bd, ash) if need_a else None,
-                    _unbroadcast(g * ad, bsh) if need_b else None)
+            return (None if bd is None else _unbroadcast(g * bd, ash),
+                    None if ad is None else _unbroadcast(g * ad, bsh))
 
         return self._emit(out, (a, b), bwd)
 
@@ -223,19 +281,25 @@ class GradTape:
 
         return self._emit(a.data * s, (a,), bwd)
 
-    def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        ad, bd = a.data, b.data
-        ash, bsh = ad.shape, bd.shape
+    def matmul(self, a: Tensor, b: Tensor, b_again=None) -> Tensor:
+        """a @ b. b_again, a callable returning b's data, lets backward
+        fetch b again when a's gradient needs it instead of keeping it."""
+        ash, bsh = a.shape, b.shape
         if len(ash) < 2 or len(bsh) < 2:
             raise ShapeError(f"matmul needs 2-D operands, got {ash} @ {bsh}")
         if ash[-1] != bsh[-2]:
             raise ShapeError(f"matmul: inner dims differ, {ash} @ {bsh}")
+        out = np.matmul(a.data, b.data)
         need_a, need_b = self._live(a), self._live(b)
+        # each side's gradient reads the other operand: keep only those
+        ad = a.data if need_b else None
+        bd = b.data if need_a and b_again is None else None
 
         def bwd(g):
             da = db = None
             if need_a:
-                da = _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ash)
+                b_data = bd if b_again is None else b_again()
+                da = _unbroadcast(np.matmul(g, b_data.swapaxes(-1, -2)), ash)
             if need_b and len(bsh) == 2 and len(ash) > 2:
                 # batched x 2-D weight: collapse the batch instead of
                 # materializing a per-batch (d, d) gradient stack
@@ -245,7 +309,7 @@ class GradTape:
                 db = _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bsh)
             return (da, db)
 
-        return self._emit(np.matmul(ad, bd), (a, b), bwd)
+        return self._emit(out, (a, b), bwd)
 
     # ---- shape moves ----
 
@@ -291,15 +355,14 @@ class GradTape:
 
     def slice_ax(self, a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         axis = axis % a.ndim
+        start, stop, _ = slice(start, stop).indices(a.shape[axis])
         sl = tuple(
             slice(start, stop) if i == axis else slice(None) for i in range(a.ndim)
         )
         ash = a.shape
 
         def bwd(g):
-            out = np.zeros(ash, dtype=g.dtype)
-            out[sl] = g
-            return (out,)
+            return (_SliceGrad(g, axis, start, stop, ash),)
 
         return self._emit(a.data[sl], (a,), bwd)
 
@@ -424,15 +487,17 @@ class GradTape:
 
         def bwd(g):
             # np.add.at's sums without its per-element cost: a stable sort
-            # keeps each table row's gradient rows in index order, and
-            # accumulate adds them in that order, as add.at does
+            # keeps each table row's gradient rows in index order, and a
+            # reduce along axis 0 adds them in that order, as add.at does;
+            # a single column it would sum pairwise, so that one accumulates
             flat = idx.ravel()
             order = np.argsort(flat, kind="stable")
             rows, starts = np.unique(flat[order], return_index=True)
             gs = g.reshape(-1, d)[order]
             out = np.zeros_like(td)
             for r, a, b in zip(rows, starts, [*starts[1:], flat.size]):
-                out[r] = np.add.accumulate(gs[a:b], axis=0)[-1]
+                out[r] = (np.add.reduce(gs[a:b], axis=0) if d > 1
+                          else np.add.accumulate(gs[a:b], axis=0)[-1])
             return (out,)
 
         return self._emit(td[idx], (table,), bwd)
@@ -571,6 +636,12 @@ class GradTape:
         The walk consumes the tape: each node's backward closure, and with
         it every array the op saved, is dropped once the walk has passed
         the node, run or not, so a spent tape holds nothing.
+
+        A slice's gradient is added into its source's gradient in place
+        when the walk allocated that array itself, and into a copy
+        otherwise, with no zero-filled array of the source's size; the sums
+        are bitwise those of adding full-size arrays, -0.0 against 0.0
+        included.
         """
         if self._nodes is _SPENT:
             raise ContractError("backward already ran on this tape")
@@ -582,6 +653,9 @@ class GradTape:
             raise ContractError("loss was not produced by this tape")
         nodes, self._nodes = self._nodes, _SPENT
         grads = [None] * len(nodes)
+        # node -> box that may hold -0.0, for each gradient that a slice
+        # made, in an array the walk allocated, so later slices add in place
+        own = {}
         del nodes[loss._node + 1:]  # recorded after the loss: never reached
         grads[loss._node] = np.ones_like(loss.data)
         for i in range(loss._node, -1, -1):
@@ -593,5 +667,8 @@ class GradTape:
             for j, c in zip(ids, bwd(g)):
                 if j is None:
                     continue
-                grads[j] = c if grads[j] is None else grads[j] + c
+                if type(c) is _SliceGrad:
+                    grads[j], own[j] = c.add_to(grads[j], own.get(j))
+                else:
+                    grads[j] = c if grads[j] is None else grads[j] + c
         return Gradients(self, grads)

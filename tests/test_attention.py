@@ -1,8 +1,12 @@
 """Attention kernels against naive loop oracles, plus contract cases."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from chunkmem import attention
 from chunkmem.attention import (
     MIN_WINDOWS_FOR_BLOCKS,
     AttentionParams,
@@ -767,3 +771,47 @@ def test_float32_hcam_forward_and_backward_stay_float32(monkeypatch):
     assert seen == {np.dtype(np.float32)}
     assert all(grads[t].dtype == np.float32 for t in params)
     assert all(np.max(np.abs(grads[t].data)) > 0 for t in params)
+
+
+def test_hcam_keeps_no_gathered_rows_and_gathers_them_again_once(monkeypatch):
+    # rows see 0, 1 and 3 chunks: empty top-k slots and pass-through rows
+    p = layer_params(28).hcam
+    rng = make_rng(29)
+    x = rng.normal(size=(2, 5, 8))
+    chunks = rng.normal(size=(2, 4, 3, 8))
+    visible = np.array([0, 0, 1, 1, 0]), np.array([0, 1, 4, 4, 4])
+    gather = attention._chunk_rows
+    made = []
+
+    def tracked(*args):
+        rows = gather(*args)
+        made.append(weakref.ref(rows))
+        return rows
+
+    kept = []
+
+    def reused(*args):  # the old way: backward reads the forward's rows
+        if not kept:
+            kept.append(gather(*args))
+        return kept[0]
+
+    def grads_of(gather_rows):
+        monkeypatch.setattr(attention, "_chunk_rows", gather_rows)
+        tape = GradTape()
+        params = [Tensor(x), p.ln_gain, p.ln_bias, p.w_rel, p.mha.wq,
+                  p.mha.wk, p.mha.wv, p.mha.wo]
+        for t in params:
+            tape.watch(t)
+        out = hcam_block(tape, params[0], chunks.mean(-2), chunks, p,
+                         n_heads=2, top_k=2, pos_table=sinusoidal_table(3, 8),
+                         visible=visible)
+        gc.collect()
+        assert [r() for r in made] == [None] * len(made)
+        grads = tape.backward(tape.reduce_sum(tape.tanh(out)))
+        return [grads[t].data for t in params]
+
+    got = grads_of(tracked)
+    gc.collect()
+    assert len(made) == 2 and made[1]() is None  # one gather in backward
+    for a, b in zip(got, grads_of(reused), strict=True):
+        assert np.array_equal(a, b) and np.max(np.abs(a)) > 0

@@ -192,24 +192,34 @@ def test_embed_lookup_rows_and_duplicate_grad():
     assert np.array_equal(g, want)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_embed_lookup_grad_is_bitwise_add_at(dtype):
+def _check_embed_grad_is_bitwise_add_at(dtype, d):
     # many duplicates per row, rows 0 and 6 never looked up, and sums long
     # enough that another addition order would move float32 results
     rng = make_rng(32)
-    table = Tensor(rng.normal(size=(8, 16)).astype(dtype))
+    table = Tensor(rng.normal(size=(8, d)).astype(dtype))
     idx = rng.choice([1, 2, 3, 4, 5, 7], size=(6, 50))
     idx[2, 7:40] = 4
-    g = (rng.normal(size=(6, 50, 16))
+    g = (rng.normal(size=(6, 50, d))
          * 10.0 ** rng.integers(-4, 4, size=(6, 50, 1))).astype(dtype)
     tp = tape()
     tp.watch(table)
     out = tp.embed_lookup(table, idx)
     got = tp.backward(tp.reduce_sum(tp.multiply(out, Tensor(g))))[table].data
     want = np.zeros_like(table.data)
-    np.add.at(want, idx.ravel(), g.reshape(-1, 16))
+    np.add.at(want, idx.ravel(), g.reshape(-1, d))
     assert got.dtype == dtype and np.array_equal(got, want)
     assert not got[[0, 6]].any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embed_lookup_grad_is_bitwise_add_at(dtype):
+    _check_embed_grad_is_bitwise_add_at(dtype, 16)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embed_lookup_grad_of_one_column_table_is_bitwise_add_at(dtype):
+    # a reduce over one column sums pairwise, not in row order
+    _check_embed_grad_is_bitwise_add_at(dtype, 1)
 
 
 def test_embed_lookup_out_of_range():
@@ -546,6 +556,83 @@ def test_backward_releases_what_ops_saved_and_spends_the_tape():
     tp2.watch(w)  # a new tape takes the leaf over
     g2 = tp2.backward(tp2.reduce_sum(tp2.tanh(w)))
     assert np.array_equal(g2[w].data, 1.0 - np.tanh(w.data) ** 2)
+
+
+@pytest.mark.parametrize("op", ["matmul", "multiply"])
+@pytest.mark.parametrize("live_left", [True, False])
+def test_op_by_a_constant_keeps_only_the_constant(op, live_left):
+    rng = make_rng(40)
+    w = Tensor(rng.normal(size=(4, 4)))
+    c = rng.normal(size=(4, 4))
+    g = rng.normal(size=(4, 4))
+    tp = tape()
+    tp.watch(w)
+    x = tp.scale(w, 2.0)  # the live operand, held by nothing but x
+    refs = weakref.ref(x.data), weakref.ref(c)
+    pair = (x, Tensor(c)) if live_left else (Tensor(c), x)
+    out = getattr(tp, op)(*pair)
+    loss = tp.reduce_sum(tp.multiply(out, Tensor(g)))
+    del x, pair
+    assert refs[0]() is None and refs[1]() is not None
+    got = tp.backward(loss)[w].data
+    if op == "multiply":
+        want = 2.0 * g * c
+    else:
+        want = 2.0 * (g @ c.T if live_left else c.T @ g)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_slice_gradients_add_bitwise_as_zero_filled_arrays():
+    # overlapping slices along every axis, whole-array terms between them,
+    # -0.0 in every gradient, and a float32 source met by float64 terms:
+    # the source's gradient is, bit for bit, the sum in backward's order
+    # of each slice's gradient placed in zeros, as it was before slices
+    # were added in place
+    rng = make_rng(41)
+    shape = (4, 6, 5)
+    for dtype, full_dtype in [(np.float64, np.float64), (np.float32, np.float32),
+                              (np.float32, np.float64)]:
+        w = Tensor(rng.normal(size=shape).astype(dtype))
+        tp = tape()
+        tp.watch(w)
+        src = tp.reshape(w, shape)  # an intermediate, passed on to w
+        terms, losses = [], []
+        for k in range(12):
+            if k % 4 == 3:
+                part, term_dtype = src, full_dtype
+            else:
+                axis = int(rng.integers(3))
+                a, b = sorted(rng.integers(0, shape[axis] + 1, size=2))
+                part, term_dtype = tp.slice_ax(src, axis, a, b), dtype
+            gk = rng.normal(size=part.shape).astype(term_dtype)
+            gk[rng.random(part.shape) < 0.4] = -0.0
+            gk[rng.random(part.shape) < 0.1] = 0.0
+            if part is src:
+                full = gk
+            else:
+                full = np.zeros(shape, dtype=gk.dtype)
+                full[tuple(slice(a, b) if i == axis else slice(None)
+                           for i in range(3))] = gk
+            terms.append(full)
+            losses.append(tp.reduce_sum(tp.multiply(part, Tensor(gk))))
+        loss = losses[0]
+        for extra in losses[1:]:
+            loss = tp.add(loss, extra)
+        got = tp.backward(loss)[w].data
+        want = terms[-1]
+        for term in terms[-2::-1]:  # backward meets the last term first
+            want = want + term
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), (dtype, full_dtype)
+
+
+def test_slice_gradient_handed_to_backward_carries_a_dtype():
+    tp = tape()
+    a = tp.watch(Tensor(np.ones((3, 4), dtype=np.float32)))
+    tp.slice_ax(a, 1, 1, 3)
+    _ids, bwd = tp._nodes[-1]
+    (handed,) = bwd(np.ones((3, 2), dtype=np.float32))
+    assert handed.dtype == np.float32
 
 
 def test_reading_a_freed_intermediate_gradient_raises():

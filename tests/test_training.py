@@ -262,10 +262,11 @@ def test_evaluate_queries_one_row_per_episode_in_the_final_layer(monkeypatch):
 
 
 # tracemalloc peaks at ballet-long's config (4 dances, delay 32, batch 32,
-# float32), measured at 133.3 MiB for a training step and 85.9 MiB for a
+# float32), measured at 94.3 MiB for a training step and 78.6 MiB for a
 # 64-episode evaluate, after a step or on a fresh model alike; a tape kept
-# alive after its backward added about 130 MiB to that evaluate.
-STEP_PEAK_MIB = 147  # the measured step plus 10%
+# alive after its backward added about 130 MiB to that evaluate. Before
+# the tape stopped keeping recall's gathered rows, the step was 133.3 MiB.
+STEP_PEAK_MIB = 104  # the measured step plus 10%
 EVAL_MARGIN = 1.1  # evaluate after a step against one on a fresh model
 
 

@@ -14,6 +14,10 @@ the names. A change that keeps every line is bitwise neutral on:
 - local/...: local_attention's output and the gradients of its input and
   of wq, wk, wv and wo, for ten geometries (dense, blocked and XL, with
   and without carried rows), with and without top-k, in both dtypes;
+- recall/...: hcam_block's output and the gradients of its input, its
+  norm's gain and bias, w_rel and the four MHA weights, for one query
+  seeing every chunk and for per-row windows with empty top-k slots and
+  pass-through rows, with and without position rows, in both dtypes;
 - loss/...: one training minibatch's loss and every parameter gradient,
   per model kind at 2 dances / delay 16 and 4 dances / delay 32, and pai;
 - train/...: a 3-step train run of the same configurations: checkpoint
@@ -40,7 +44,8 @@ import tempfile  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from chunkmem.attention import local_attention, sinusoidal_table  # noqa: E402
+from chunkmem.attention import (hcam_block, local_attention,  # noqa: E402
+                                sinusoidal_table)
 from chunkmem.rng import make_rng  # noqa: E402
 from chunkmem.stack import (KINDS, Model, ModelConfig,  # noqa: E402
                             forward_sequence, init_state, stack_step)
@@ -62,6 +67,18 @@ GEOMETRIES = {
     "xl-dense": (4, 4, 12, 0),
     "xl-blocked": (4, 4, 36, 0),
     "xl-blocked-carry-past-reach": (4, 4, 36, 10),
+}
+
+# name: (visible (lo, hi) per query row or None for one query seeing all
+# chunks, position rows); 5 chunks, top-k 2. The windows give rows that see
+# no chunk (first, middle and last), one chunk (an empty top-k slot) and
+# several, in runs of equal bounds.
+WINDOWS = ([0, 0, 0, 1, 1, 3, 3, 2, 0], [0, 1, 1, 4, 4, 3, 3, 5, 0])
+RECALLS = {
+    "one-query": (None, True),
+    "one-query-nopos": (None, False),
+    "windows": (WINDOWS, True),
+    "windows-nopos": (WINDOWS, False),
 }
 
 # name: RunConfig settings
@@ -102,6 +119,30 @@ def local_case(geometry, topk, dtype):
                           n_carry=n_carry, xl_extra=xl, topk=topk)
     grads = tape.backward(tape.reduce_sum(tape.multiply(out, g)))
     return digest(out.data, *(grads[t].data for t in (seq, *weights)))
+
+
+def recall_case(recall, dtype):
+    visible, with_pos = RECALLS[recall]
+    d, heads, n_chunks, c = 8, 2, 5, 3
+    cfg = ModelConfig(kind="hcam", d_model=d, n_heads=heads, n_layers=1,
+                      dtype=dtype)
+    p = Model(cfg, seed=5).layers[0].hcam
+    rng = make_rng(17)
+    q = 1 if visible is None else len(visible[0])
+    x = Tensor(rng.normal(size=(2, q, d)).astype(dtype))
+    chunks = rng.normal(size=(2, n_chunks, c, d)).astype(dtype)
+    g = Tensor(rng.normal(size=(2, q, d)).astype(dtype))
+    weights = (p.ln_gain, p.ln_bias, p.w_rel,
+               p.mha.wq, p.mha.wk, p.mha.wv, p.mha.wo)
+    tape = GradTape()
+    for t in (x, *weights):
+        tape.watch(t)
+    out = hcam_block(tape, x, chunks.mean(-2), chunks, p, heads, top_k=2,
+                     pos_table=sinusoidal_table(c, d) if with_pos else None,
+                     visible=None if visible is None else tuple(
+                         np.array(v) for v in visible))
+    grads = tape.backward(tape.reduce_sum(tape.multiply(out, g)))
+    return digest(out.data, *(grads[t].data for t in (x, *weights)))
 
 
 def run_config(run, dtype, **kw):
@@ -153,6 +194,10 @@ def cases() -> dict:
             for dtype in DTYPES:
                 out[f"local/{geometry}/topk-{topk}/{dtype}"] = (
                     lambda a=(geometry, topk, dtype): local_case(*a))
+    for recall in RECALLS:
+        for dtype in DTYPES:
+            out[f"recall/{recall}/{dtype}"] = (
+                lambda a=(recall, dtype): recall_case(*a))
     for run in RUNS:
         for dtype in DTYPES:
             out[f"loss/{run}/{dtype}"] = lambda a=(run, dtype): loss_case(*a)
