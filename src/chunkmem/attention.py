@@ -473,13 +473,13 @@ def _recall_folds(tape: GradTape, m: AttentionParams, dtype, n_heads: int,
                  tables=() if pos is None else (pos,))
 
 
-def _chunk_rows(chunks: np.ndarray, ids: np.ndarray) -> np.ndarray:
+def _chunk_rows(tape: GradTape, chunks: np.ndarray,
+                ids: np.ndarray) -> np.ndarray:
     """The rows of the chunks ids (..., q, k) names in chunks (..., N, C, d),
-    each query row's k chunks end to end: (..., q, k * C, d). One take_rows
-    on a tape that records nothing: the gather has no backward."""
+    each query row's k chunks end to end: (..., q, k * C, d). chunks is a
+    constant, so the take_rows records nothing."""
     *lead, q, k = ids.shape
-    rows = GradTape(recording=False).take_rows(Tensor(chunks),
-                                               ids.reshape(*lead, q * k))
+    rows = tape.take_rows(Tensor(chunks), ids.reshape(*lead, q * k))
     return rows.data.reshape(*lead, q, k * chunks.shape[-2], chunks.shape[-1])
 
 
@@ -583,12 +583,12 @@ def hcam_block(
 
     # phase 2: one detail read over all rows, in input space
     h = n_heads
-    rows = _chunk_rows(chunks, ids)
+    rows = _chunk_rows(tape, chunks, ids)
     again = []  # backward's rows: gathered by the first read, gone after both
 
     def rows_again():
         if not again:
-            again.append(_chunk_rows(chunks, ids))
+            again.append(_chunk_rows(GradTape(recording=False), chunks, ids))
         return again[0]
 
     pos = None

@@ -284,16 +284,17 @@ class GradTape:
     def matmul(self, a: Tensor, b: Tensor, b_again=None) -> Tensor:
         """a @ b. b_again, a callable returning b's data, lets backward
         fetch b again when a's gradient needs it instead of keeping it."""
-        ash, bsh = a.shape, b.shape
+        ad, bd = a.data, b.data
+        ash, bsh = ad.shape, bd.shape
         if len(ash) < 2 or len(bsh) < 2:
             raise ShapeError(f"matmul needs 2-D operands, got {ash} @ {bsh}")
         if ash[-1] != bsh[-2]:
             raise ShapeError(f"matmul: inner dims differ, {ash} @ {bsh}")
-        out = np.matmul(a.data, b.data)
+        out = np.matmul(ad, bd)
         need_a, need_b = self._live(a), self._live(b)
         # each side's gradient reads the other operand: keep only those
-        ad = a.data if need_b else None
-        bd = b.data if need_a and b_again is None else None
+        ad = ad if need_b else None
+        bd = bd if need_a and b_again is None else None
 
         def bwd(g):
             da = db = None
@@ -355,14 +356,14 @@ class GradTape:
 
     def slice_ax(self, a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         axis = axis % a.ndim
-        start, stop, _ = slice(start, stop).indices(a.shape[axis])
         sl = tuple(
             slice(start, stop) if i == axis else slice(None) for i in range(a.ndim)
         )
         ash = a.shape
 
         def bwd(g):
-            return (_SliceGrad(g, axis, start, stop, ash),)
+            s, e, _ = sl[axis].indices(ash[axis])
+            return (_SliceGrad(g, axis, s, e, ash),)
 
         return self._emit(a.data[sl], (a,), bwd)
 
