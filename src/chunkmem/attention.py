@@ -473,6 +473,16 @@ def _recall_folds(tape: GradTape, m: AttentionParams, dtype, n_heads: int,
                  tables=() if pos is None else (pos,))
 
 
+# hcam_block reads its queries' chunk rows one block of query rows at a
+# time, each block's gathered rows at most this many bytes (one query row
+# at least). At ballet-long's config (float32, one BLAS thread, a 2-CPU VM
+# with 2 MiB of L2 a core), budgets of 1, 2, 4 and 8 MiB took a 64-episode
+# evaluate's tracemalloc peak from 78.6 MiB in one block to 39.0, 39.7,
+# 41.2 and 44.6 MiB, and its time to 0.94, 0.93, 0.91 and 0.92x; 4 MiB was
+# the fastest at both its evaluate and its training step in three runs.
+RECALL_BLOCK_BYTES = 4 << 20
+
+
 def _chunk_rows(tape: GradTape, chunks: np.ndarray,
                 ids: np.ndarray) -> np.ndarray:
     """The rows of the chunks ids (..., q, k) names in chunks (..., N, C, d),
@@ -481,6 +491,40 @@ def _chunk_rows(tape: GradTape, chunks: np.ndarray,
     *lead, q, k = ids.shape
     rows = tape.take_rows(Tensor(chunks), ids.reshape(*lead, q * k))
     return rows.data.reshape(*lead, q, k * chunks.shape[-2], chunks.shape[-1])
+
+
+def _read_rows(tape: GradTape, qt: Tensor, weights: Tensor,
+               chunks: np.ndarray, ids: np.ndarray, pos: np.ndarray | None):
+    """hcam_block's detail read of one block of m query rows: the rows of
+    the chunks ids (..., m, kk) names, scored against the key-folded query
+    qt (..., m, h, d), with the position term when pos is given, softmaxed
+    per chunk, weighted by the relevance weights (..., m, kk) and summed.
+    Returns (read (..., m, h * d), the weighted softmax (..., m, h, kk * C)).
+
+    The gathered rows go when it returns: backward gathers them again from
+    chunks and ids on the first of the two matmuls that read them, and that
+    copy goes with the second."""
+    *lead, m, h, d = qt.shape
+    kk, c = ids.shape[-1], chunks.shape[-2]
+    rows = _chunk_rows(tape, chunks, ids)
+    again = []  # backward's rows: gathered by the first read, gone after both
+
+    def rows_again():
+        if not again:
+            again.append(_chunk_rows(GradTape(recording=False), chunks, ids))
+        return again[0]
+
+    scores = tape.matmul(qt, Tensor(rows.swapaxes(-1, -2)),
+                         b_again=lambda: rows_again().swapaxes(-1, -2))
+    scores = tape.reshape(scores, (*lead, m, h, kk, c))
+    if pos is not None:
+        scores = tape.add(scores, tape.reshape(
+            tape.matmul(qt, Tensor(pos.T)), (*lead, m, h, 1, c)))
+    att = tape.multiply(tape.softmax(scores, axis=-1),
+                        tape.reshape(weights, (*lead, m, 1, kk, 1)))
+    att = tape.reshape(att, (*lead, m, h, kk * c))
+    read = tape.matmul(att, Tensor(rows), b_again=rows_again)
+    return tape.reshape(read, (*lead, m, h * d)), att
 
 
 def hcam_block(
@@ -507,14 +551,18 @@ def hcam_block(
 
     visible = (lo, hi), two length-q integer arrays, lets query row t see
     only chunks [lo[t], hi[t]); None lets every row see all N. Each run of
-    rows with equal bounds is scored and selects on its own. Then one
-    detail read covers all rows in input space: it gathers each row's
-    selected chunk rows as constants, scores them against the query folded
-    through wq_h wk_h^T, softmaxes per chunk, weights by relevance and sums
-    the rows; only that sum passes through wv_h and wo. Position codes
-    enter as C-row terms, so no stored row is ever projected. The gathered
-    rows are not kept for backward, which gathers them again from chunks
-    and the selected ids, once: chunks must not change before backward.
+    rows with equal bounds is scored and selects on its own. Then the
+    detail read runs in input space, one block of query rows at a time,
+    each block's gathered rows at most RECALL_BLOCK_BYTES: it gathers each
+    row's selected chunk rows as constants, scores them against the query
+    folded through wq_h wk_h^T, softmaxes per chunk, weights by relevance
+    and sums the rows; only that sum, joined over the blocks, passes
+    through wv_h and wo. Position codes enter as C-row terms, so no stored
+    row is ever projected. A block's rows are dropped after its read and
+    gathered again in backward from chunks and the selected ids, once:
+    chunks must not change before backward. Blocks change no bits, since
+    every (batch, query) item is read alone, and a call that fits in one
+    block records no slice or concat for it.
 
     The products of the MHA weights alone (wq_h wk_h^T, wv_h wo and the
     position rows through it) are built once per weight value: on a tape
@@ -581,34 +629,31 @@ def hcam_block(
             counter.add(math.prod(lead) * (te - ts) * k * c)
     weights = weights[0] if len(weights) == 1 else tape.concat(weights, axis=-2)
 
-    # phase 2: one detail read over all rows, in input space
+    # phase 2: the detail read in input space, one block of query rows at
+    # a time; a call that fits in one block records no slice or concat
     h = n_heads
-    rows = _chunk_rows(tape, chunks, ids)
-    again = []  # backward's rows: gathered by the first read, gone after both
-
-    def rows_again():
-        if not again:
-            again.append(_chunk_rows(GradTape(recording=False), chunks, ids))
-        return again[0]
-
     pos = None
     if pos_table is not None:
         pos = pos_table[:c].astype(x.dtype, copy=False)
     wqk, wvo, pvo = _recall_folds(tape, params.mha, x.dtype, h, kk, pos)
     qt = tape.matmul(normed, wqk)
     qt = tape.reshape(qt, (*lead, q, h, d))  # key-folded query per head
-    scores = tape.matmul(qt, Tensor(rows.swapaxes(-1, -2)),
-                         b_again=lambda: rows_again().swapaxes(-1, -2))
-    scores = tape.reshape(scores, (*lead, q, h, kk, c))
-    if pos is not None:
-        scores = tape.add(scores, tape.reshape(
-            tape.matmul(qt, Tensor(pos.T)), (*lead, q, h, 1, c)))
-    att = tape.multiply(tape.softmax(scores, axis=-1),
-                        tape.reshape(weights, (*lead, q, 1, kk, 1)))
-    att = tape.reshape(att, (*lead, q, h, kk * c))
-    read = tape.reshape(tape.matmul(att, Tensor(rows), b_again=rows_again),
-                        (*lead, q, h * d))
-    del rows  # the rest of the forward runs without them
+    row_bytes = math.prod(lead) * kk * c * d * x.dtype.itemsize
+    step = max(1, RECALL_BLOCK_BYTES // row_bytes)  # query rows a block
+    if step >= q:
+        read, att = _read_rows(tape, qt, weights, chunks, ids, pos)
+    else:
+        parts = []
+        for s in range(0, q, step):
+            e = min(q, s + step)
+            parts.append(_read_rows(tape, tape.slice_ax(qt, -3, s, e),
+                                    tape.slice_ax(weights, -2, s, e),
+                                    chunks, ids[..., s:e, :], pos))
+        del qt  # the tape keeps no folded query: let it go before concat
+        read = tape.concat([r for r, _a in parts], axis=-2)
+        if pos is not None:
+            att = tape.concat([a for _r, a in parts], axis=-3)
+        del parts  # the blocks' reads, now copied into read
     out = tape.matmul(read, wvo)
     if pos is not None:  # sum_j att_j . (pos wv_h wo_h), for all heads
         out = tape.add(out, tape.matmul(

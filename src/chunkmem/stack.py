@@ -5,10 +5,11 @@ input to that layer's chunk memory, add windowed causal self-attention, add
 relevance-gated recall over the memory's frozen chunks, add an MLP. One
 per-layer routine runs every model kind. forward_sequence hands it a whole
 sequence, and recall selects chunks for each group of positions that see
-the same frozen chunks, then reads the picked chunks' rows for all
-positions at once; stack_step hands it a one-step sequence, whose recall
-then reads k chunks however many are stored. The tests check both against a step-at-a-time reference
-that writes to and reads from a ChunkMemory on every step.
+the same frozen chunks, then reads the picked chunks' rows one cache-sized
+block of positions at a time; stack_step hands it a one-step sequence,
+whose recall then reads k chunks however many are stored. The tests check
+both against a step-at-a-time reference that writes to and reads from a
+ChunkMemory on every step.
 
 Baselines: a TransformerXL-flavored stack (windowed attention extended by a
 gradient-stopped cache of older inputs), the same with per-head top-k score

@@ -774,26 +774,28 @@ def test_float32_hcam_forward_and_backward_stay_float32(monkeypatch):
 
 
 def test_hcam_keeps_no_gathered_rows_and_gathers_them_again_once(monkeypatch):
-    # rows see 0, 1 and 3 chunks: empty top-k slots and pass-through rows
+    # rows see 0, 1 and 3 chunks: empty top-k slots and pass-through rows.
+    # Rows 1-4 are read: in one block, in blocks of 2 and of 1 query rows.
     p = layer_params(28).hcam
     rng = make_rng(29)
     x = rng.normal(size=(2, 5, 8))
     chunks = rng.normal(size=(2, 4, 3, 8))
     visible = np.array([0, 0, 1, 1, 0]), np.array([0, 1, 4, 4, 4])
     gather = attention._chunk_rows
-    made = []
+    made = []  # (ids, weakref to the rows) per gather
 
-    def tracked(*args):
-        rows = gather(*args)
-        made.append(weakref.ref(rows))
+    def tracked(tape, chunks, ids):
+        rows = gather(tape, chunks, ids)
+        made.append((ids.copy(), weakref.ref(rows)))
         return rows
 
-    kept = []
+    kept = {}
 
-    def reused(*args):  # the old way: backward reads the forward's rows
-        if not kept:
-            kept.append(gather(*args))
-        return kept[0]
+    def reused(tape, chunks, ids):  # the old way: backward reads the
+        key = ids.tobytes()         # forward's rows of the same block
+        if key not in kept:
+            kept[key] = gather(tape, chunks, ids)
+        return kept[key]
 
     def grads_of(gather_rows):
         monkeypatch.setattr(attention, "_chunk_rows", gather_rows)
@@ -806,12 +808,70 @@ def test_hcam_keeps_no_gathered_rows_and_gathers_them_again_once(monkeypatch):
                          n_heads=2, top_k=2, pos_table=sinusoidal_table(3, 8),
                          visible=visible)
         gc.collect()
-        assert [r() for r in made] == [None] * len(made)
+        assert [r() for _ids, r in made] == [None] * len(made)
         grads = tape.backward(tape.reduce_sum(tape.tanh(out)))
         return [grads[t].data for t in params]
 
-    got = grads_of(tracked)
-    gc.collect()
-    assert len(made) == 2 and made[1]() is None  # one gather in backward
-    for a, b in zip(got, grads_of(reused), strict=True):
-        assert np.array_equal(a, b) and np.max(np.abs(a)) > 0
+    row_bytes = 2 * 2 * 3 * 8 * 8  # batch, slots, chunk rows, d, float64
+    for budget, blocks in ((attention.RECALL_BLOCK_BYTES, 1),
+                           (2 * row_bytes, 2), (row_bytes, 4)):
+        monkeypatch.setattr(attention, "RECALL_BLOCK_BYTES", budget)
+        made.clear()
+        kept.clear()
+        got = grads_of(tracked)
+        gc.collect()
+        # each block gathered again once in backward, the last block first
+        assert len(made) == 2 * blocks
+        assert [r() for _ids, r in made] == [None] * len(made)
+        ids = [i for i, _r in made]
+        assert all(np.array_equal(a, b) and a.shape == (2, 4 // blocks, 2)
+                   for a, b in zip(ids[:blocks], ids[:blocks - 1:-1]))
+        for a, b in zip(got, grads_of(reused), strict=True):
+            assert np.array_equal(a, b) and np.max(np.abs(a)) > 0
+
+
+@pytest.mark.parametrize("with_pos", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_hcam_blocks_of_query_rows_match_one_block_bitwise(monkeypatch, dtype,
+                                                          with_pos):
+    # rows 0 and 8 pass through, rows 5-6 see no chunk between rows that
+    # do, and rows 1-2 see one chunk (an empty top-k slot): rows 1-7 are
+    # read, in one block and then in blocks of 1, 2 and 3 rows
+    p = layer_params(30, dtype=dtype).hcam
+    rng = make_rng(31)
+    x = rng.normal(size=(2, 9, 8)).astype(dtype)
+    chunks = rng.normal(size=(2, 5, 3, 8)).astype(dtype)
+    g = rng.normal(size=(2, 9, 8)).astype(dtype)
+    visible = (np.array([0, 0, 0, 1, 1, 3, 3, 2, 0]),
+               np.array([0, 1, 1, 4, 4, 3, 3, 5, 0]))
+    gather, gathers = attention._chunk_rows, []
+
+    def counted(*args):
+        gathers.append(args)
+        return gather(*args)
+
+    monkeypatch.setattr(attention, "_chunk_rows", counted)
+
+    def run():
+        gathers.clear()
+        tape = GradTape()
+        params = [Tensor(x), p.ln_gain, p.ln_bias, p.w_rel, p.mha.wq,
+                  p.mha.wk, p.mha.wv, p.mha.wo]
+        for t in params:
+            tape.watch(t)
+        out = hcam_block(tape, params[0], chunks.mean(-2), chunks, p,
+                         n_heads=2, top_k=2, visible=visible,
+                         pos_table=sinusoidal_table(3, 8) if with_pos else None)
+        blocks = len(gathers)
+        grads = tape.backward(tape.reduce_sum(tape.multiply(out, Tensor(g))))
+        return blocks, [out.data] + [grads[t].data for t in params]
+
+    blocks, want = run()
+    assert blocks == 1
+    row_bytes = 2 * 2 * 3 * 8 * np.dtype(dtype).itemsize
+    for rows, n_blocks in ((1, 7), (2, 4), (3, 3)):
+        monkeypatch.setattr(attention, "RECALL_BLOCK_BYTES", rows * row_bytes)
+        blocks, got = run()
+        assert blocks == n_blocks
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

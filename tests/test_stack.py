@@ -302,7 +302,8 @@ def test_hcam_step_equals_sequence_with_thousands_of_chunks():
 
 def record_reads(monkeypatch):
     """Per hcam_block call, in call order: the top-k selections of its runs,
-    then the stored chunks, indices and rows of its one gather."""
+    then the stored chunks, indices and rows it gathers, the gathers of a
+    call that reads in blocks of query rows joined along the query axis."""
     reads, sels = [], []
     select, take = attention.top_k_select, GradTape.take_rows
 
@@ -312,8 +313,14 @@ def record_reads(monkeypatch):
 
     def taking(tape, a, idx):
         out = take(tape, a, idx)
-        reads.append((list(sels), a.data, idx, out.data))
-        sels.clear()
+        if sels:  # a call's first gather follows its selections
+            reads.append((list(sels), a.data, idx, out.data))
+            sels.clear()
+        else:  # the same call's next block
+            done, chunks, idx0, rows = reads[-1]
+            axis = idx.ndim - 1
+            reads[-1] = (done, chunks, np.concatenate([idx0, idx], axis),
+                         np.concatenate([rows, out.data], axis))
         return out
 
     monkeypatch.setattr(attention, "top_k_select", selecting)
@@ -341,24 +348,39 @@ def test_full_memory_step_gathers_only_selected_chunks(monkeypatch):
 def test_ballet_batch_gathers_each_rows_top_k_chunks(monkeypatch):
     # at batch 8 every row that sees a chunk gathers the rows of its own
     # top-k chunks, straight from the store; the rows before the first
-    # chunk gather nothing
+    # chunk gather nothing. In one block, then in blocks of 5 query rows.
     model = Model(ModelConfig(kind="hcam"), seed=1)
     k, c = model.config.top_k, model.config.chunk_size
     dancers, directions, queries, _ = ballet_batch(2, 16, 1, 0, 8)
-    tape = GradTape()
-    xs = encode_ballet_tokens(tape, model, dancers, directions, queries)
-    reads = record_reads(monkeypatch)
-    _, state = forward_sequence(tape, model, xs)
-    assert len(reads) == len(state.memories) == 2
-    for (sels, chunks, idx, gathered), mem in zip(reads, state.memories):
-        assert mem.n_chunks == 6 and np.array_equal(chunks, mem.chunks)
-        # a run that sees one chunk fills its second slot with chunk 0
-        want = np.concatenate([np.pad(s, ((0, 0), (0, 0), (0, k - s.shape[-1])))
-                               for s in sels], axis=1)
-        assert want.shape == (8, xs.shape[1] - (c - 1), k)
-        assert np.array_equal(idx, want.reshape(8, -1))
-        assert np.array_equal(gathered.reshape(want.shape + (c, 64)),
-                              mem.chunks[np.arange(8)[:, None, None], want])
+    row_bytes = 8 * k * c * 64 * 8  # one query row's rows, float64
+    for budget, blocks in ((attention.RECALL_BLOCK_BYTES, 1),
+                           (5 * row_bytes, 9)):
+        monkeypatch.setattr(attention, "RECALL_BLOCK_BYTES", budget)
+        gathers = []
+        tape = GradTape()
+        xs = encode_ballet_tokens(tape, model, dancers, directions, queries)
+        reads = record_reads(monkeypatch)
+        take = GradTape.take_rows
+
+        def counted(tape, a, idx):
+            gathers.append(idx.shape)
+            return take(tape, a, idx)
+
+        monkeypatch.setattr(GradTape, "take_rows", counted)
+        _, state = forward_sequence(tape, model, xs)
+        assert len(reads) == len(state.memories) == 2
+        assert len(gathers) == 2 * blocks
+        for (sels, chunks, idx, gathered), mem in zip(reads, state.memories):
+            assert mem.n_chunks == 6 and np.array_equal(chunks, mem.chunks)
+            # a run that sees one chunk fills its second slot with chunk 0
+            want = np.concatenate([np.pad(s, ((0, 0), (0, 0),
+                                              (0, k - s.shape[-1])))
+                                   for s in sels], axis=1)
+            assert want.shape == (8, xs.shape[1] - (c - 1), k)
+            assert np.array_equal(idx, want.reshape(8, -1))
+            assert np.array_equal(gathered.reshape(want.shape + (c, 64)),
+                                  mem.chunks[np.arange(8)[:, None, None], want])
+        monkeypatch.undo()
 
 
 # ------------------------------------------------ last_only: one query row

@@ -18,6 +18,8 @@ the names. A change that keeps every line is bitwise neutral on:
   norm's gain and bias, w_rel and the four MHA weights, for one query
   seeing every chunk and for per-row windows with empty top-k slots and
   pass-through rows, with and without position rows, in both dtypes;
+  recall/blocks/... the same for 300 rows of a batch of 16 at d_model 64,
+  enough rows to read them in several blocks;
 - loss/...: one training minibatch's loss and every parameter gradient,
   per model kind at 2 dances / delay 16 and 4 dances / delay 32, and pai;
 - train/...: a 3-step train run of the same configurations: checkpoint
@@ -121,17 +123,15 @@ def local_case(geometry, topk, dtype):
     return digest(out.data, *(grads[t].data for t in (seq, *weights)))
 
 
-def recall_case(recall, dtype):
-    visible, with_pos = RECALLS[recall]
-    d, heads, n_chunks, c = 8, 2, 5, 3
+def recall_digest(dtype, batch, q, d, heads, n_chunks, c, visible, with_pos):
+    """hcam_block's output and gradients, top-k 2, on a recording tape."""
     cfg = ModelConfig(kind="hcam", d_model=d, n_heads=heads, n_layers=1,
                       dtype=dtype)
     p = Model(cfg, seed=5).layers[0].hcam
     rng = make_rng(17)
-    q = 1 if visible is None else len(visible[0])
-    x = Tensor(rng.normal(size=(2, q, d)).astype(dtype))
-    chunks = rng.normal(size=(2, n_chunks, c, d)).astype(dtype)
-    g = Tensor(rng.normal(size=(2, q, d)).astype(dtype))
+    x = Tensor(rng.normal(size=(batch, q, d)).astype(dtype))
+    chunks = rng.normal(size=(batch, n_chunks, c, d)).astype(dtype)
+    g = Tensor(rng.normal(size=(batch, q, d)).astype(dtype))
     weights = (p.ln_gain, p.ln_bias, p.w_rel,
                p.mha.wq, p.mha.wk, p.mha.wv, p.mha.wo)
     tape = GradTape()
@@ -143,6 +143,25 @@ def recall_case(recall, dtype):
                          np.array(v) for v in visible))
     grads = tape.backward(tape.reduce_sum(tape.multiply(out, g)))
     return digest(out.data, *(grads[t].data for t in (x, *weights)))
+
+
+def recall_case(recall, dtype):
+    visible, with_pos = RECALLS[recall]
+    q = 1 if visible is None else len(visible[0])
+    return recall_digest(dtype, 2, q, 8, 2, 5, 3, visible, with_pos)
+
+
+def blocks_case(dtype):
+    """300 query rows of a batch of 16 at d_model 64 gather 64 KiB (float32)
+    or 128 KiB (float64) of chunk rows a row: 5 or 10 blocks of rows at a
+    4 MiB budget. Row t sees the last 24 chunks complete before
+    it, so rows 0-7 pass through and rows 8-15 have an empty top-k slot,
+    and rows 120-127 see none."""
+    t = np.arange(300)
+    hi = (t + 1) // 8
+    lo = np.maximum(0, hi - 24)
+    lo[120:128] = hi[120:128]
+    return recall_digest(dtype, 16, 300, 64, 4, hi[-1], 8, (lo, hi), True)
 
 
 def run_config(run, dtype, **kw):
@@ -198,6 +217,8 @@ def cases() -> dict:
         for dtype in DTYPES:
             out[f"recall/{recall}/{dtype}"] = (
                 lambda a=(recall, dtype): recall_case(*a))
+    for dtype in DTYPES:
+        out[f"recall/blocks/{dtype}"] = lambda a=dtype: blocks_case(a)
     for run in RUNS:
         for dtype in DTYPES:
             out[f"loss/{run}/{dtype}"] = lambda a=(run, dtype): loss_case(*a)
