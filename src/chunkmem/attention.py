@@ -640,20 +640,19 @@ def hcam_block(
     qt = tape.reshape(qt, (*lead, q, h, d))  # key-folded query per head
     row_bytes = math.prod(lead) * kk * c * d * x.dtype.itemsize
     step = max(1, RECALL_BLOCK_BYTES // row_bytes)  # query rows a block
-    if step >= q:
-        read, att = _read_rows(tape, qt, weights, chunks, ids, pos)
-    else:
-        parts = []
-        for s in range(0, q, step):
-            e = min(q, s + step)
-            parts.append(_read_rows(tape, tape.slice_ax(qt, -3, s, e),
-                                    tape.slice_ax(weights, -2, s, e),
-                                    chunks, ids[..., s:e, :], pos))
-        del qt  # the tape keeps no folded query: let it go before concat
-        read = tape.concat([r for r, _a in parts], axis=-2)
-        if pos is not None:
-            att = tape.concat([a for _r, a in parts], axis=-3)
-        del parts  # the blocks' reads, now copied into read
+    parts = []
+    for s in range(0, q, step):
+        e = min(q, s + step)
+        whole = e - s == q
+        parts.append(_read_rows(
+            tape, qt if whole else tape.slice_ax(qt, -3, s, e),
+            weights if whole else tape.slice_ax(weights, -2, s, e),
+            chunks, ids[..., s:e, :], pos))
+    del qt  # the tape keeps no folded query: let it go before concat
+    read, att = parts[0] if len(parts) == 1 else (
+        tape.concat([r for r, _a in parts], axis=-2),
+        None if pos is None else tape.concat([a for _r, a in parts], axis=-3))
+    del parts  # the blocks' reads, now copied into read
     out = tape.matmul(read, wvo)
     if pos is not None:  # sum_j att_j . (pos wv_h wo_h), for all heads
         out = tape.add(out, tape.matmul(

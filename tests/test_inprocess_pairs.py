@@ -26,7 +26,7 @@ def test_one_checkout_against_itself_times_every_operation(tmp_path):
                         "model": {**TINY_MODEL, "capacity": 4}}}}))
     out = subprocess.run(
         [sys.executable, str(TOOL), "--parent", str(ROOT), "--change",
-         str(ROOT), "--rounds", "2", "--stream-steps", "3", "--spec",
+         str(ROOT), "--rounds", "2", "--spec",
          str(spec)],
         capture_output=True, text=True, timeout=120, check=True).stdout
     ops = [ln.split(":")[0] for ln in out.splitlines()]

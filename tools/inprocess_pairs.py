@@ -16,8 +16,10 @@ perfbench/spec.json (only read; name workloads to run only those) runs
 - a train workload: one training step a side, the same minibatch on each
   side's own model and Adam, then one evaluate a side of the workload's
   eval_batch fresh episodes in one batch;
-- a stream workload: --stream-steps stack_step calls a side on the same
+- a stream workload: STREAM_STEPS stack_step calls a side on the same
   inputs, against a memory filled to capacity first.
+
+Models, minibatches and stream inputs are those of seed SEED.
 
 Every round asserts that the two sides' losses, evaluate accuracies and
 step outputs are equal bit for bit, so it suits changes that keep the
@@ -46,6 +48,8 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = ROOT / "perfbench" / "spec.json"
 SIDES = ("parent", "change")
+SEED = 0
+STREAM_STEPS = 100  # stack_step calls a side in a stream round
 
 
 def load_library(name: str, checkout: Path):
@@ -73,10 +77,10 @@ def pin_allocator() -> None:
 class TrainSide:
     """One side's model and optimizer for a train workload."""
 
-    def __init__(self, lib, spec: dict, seed: int):
+    def __init__(self, lib, spec: dict):
         self.lib = lib
         tr = lib["training"]
-        self.rc = rc = tr.RunConfig(seed=seed, **spec["run"])
+        self.rc = rc = tr.RunConfig(seed=SEED, **spec["run"])
         self.episodes = spec["eval_batch"]
         self.model = tr.build_model(rc)
         self.opt = lib["optim"].Adam(self.model.params, lr=rc.lr,
@@ -105,11 +109,11 @@ class TrainSide:
 class StreamSide:
     """One side's model and full memory for a stream workload."""
 
-    def __init__(self, lib, spec: dict, seed: int, rows: np.ndarray):
+    def __init__(self, lib, spec: dict, rows: np.ndarray):
         self.lib = lib
         st = lib["stack"]
         cfg = st.ModelConfig(**spec["model"])
-        self.model = st.Model(cfg, seed=seed)
+        self.model = st.Model(cfg, seed=SEED)
         self.tape = lib["tensor"].GradTape(recording=False)
         self.state = None
         fill = cfg.capacity * cfg.chunk_size
@@ -151,10 +155,9 @@ def alternate(rounds: int, ops: dict) -> dict:
     return times
 
 
-def run_workload(libs: dict, spec: dict, rounds: int, seed: int,
-                 stream_steps: int) -> dict:
+def run_workload(libs: dict, spec: dict, rounds: int) -> dict:
     if spec["kind"] == "train":
-        sides = {s: TrainSide(libs[s], spec, seed) for s in SIDES}
+        sides = {s: TrainSide(libs[s], spec) for s in SIDES}
         return alternate(rounds, {
             "step": lambda s, i: sides[s].step(i),
             "evaluate": lambda s, i: sides[s].evaluate(i)})
@@ -162,11 +165,11 @@ def run_workload(libs: dict, spec: dict, rounds: int, seed: int,
         raise ValueError(f"unknown workload kind {spec['kind']!r}")
     d = spec["model"]["d_model"]
     fill = spec["model"]["capacity"] * spec["model"]["chunk_size"]
-    rows = np.random.default_rng(seed).standard_normal(
-        (fill + rounds * stream_steps, d)).astype(spec["model"]["dtype"])
-    sides = {s: StreamSide(libs[s], spec, seed, rows) for s in SIDES}
+    rows = np.random.default_rng(SEED).standard_normal(
+        (fill + rounds * STREAM_STEPS, d)).astype(spec["model"]["dtype"])
+    sides = {s: StreamSide(libs[s], spec, rows) for s in SIDES}
     return alternate(rounds, {"stack_step": lambda s, i: sides[s].steps(
-        rows[fill + i * stream_steps:fill + (i + 1) * stream_steps])})
+        rows[fill + i * STREAM_STEPS:fill + (i + 1) * STREAM_STEPS])})
 
 
 def main(argv=None) -> int:
@@ -176,14 +179,11 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--rounds", type=int, default=30)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--stream-steps", type=int, default=100,
-                        help="stack_step calls a side in a stream round")
     parser.add_argument("--spec", type=Path, default=SPEC,
                         help="the workload file (default: perfbench's)")
     args = parser.parse_args(argv)
-    if args.rounds < 1 or args.stream_steps < 1:
-        parser.error("--rounds and --stream-steps must be >= 1")
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
     table = json.loads(args.spec.read_text())["workloads"]
     unknown = [w for w in args.workloads if w not in table]
     if unknown:
@@ -191,8 +191,7 @@ def main(argv=None) -> int:
     pin_allocator()
     libs = {s: load_library(f"chunkmem_{s}", getattr(args, s)) for s in SIDES}
     for name in args.workloads or table:
-        times = run_workload(libs, table[name], args.rounds, args.seed,
-                             args.stream_steps)
+        times = run_workload(libs, table[name], args.rounds)
         for op, per_side in times.items():
             med = {s: statistics.median(per_side[s]) * 1e3 for s in SIDES}
             print(f"{name} {op}: parent {med['parent']:.4g} ms, change "

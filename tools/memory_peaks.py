@@ -6,7 +6,7 @@ Usage, with the checkout to measure on PYTHONPATH:
 
 The argument names a train workload of perfbench/spec.json, which is only
 read; --spec reads another file of the same layout. The model and run are
-the workload's (seed --seed). Under tracemalloc the script runs:
+the workload's, with seed SEED. Under tracemalloc the script runs:
 
 - one training forward, the minibatch loss training.train optimizes;
 - that step's backward;
@@ -38,6 +38,7 @@ from chunkmem.tensor import GradTape  # noqa: E402
 SPEC = Path(__file__).resolve().parents[1] / "perfbench" / "spec.json"
 BLOCKS = ("local_attention", "hcam_block", "_mlp")
 MIB = 2.0 ** 20
+SEED = 0
 
 
 class Meter:
@@ -82,9 +83,9 @@ def wrap_blocks(meter: Meter, log: list):
     return restore
 
 
-def measure(run, eval_batch: int, seed: int) -> list[str]:
+def measure(run, eval_batch: int) -> list[str]:
     """The report's lines for one train workload's run settings."""
-    rc = training.RunConfig(seed=seed, **run)
+    rc = training.RunConfig(seed=SEED, **run)
     model = training.build_model(rc)
     lines = []
 
@@ -132,7 +133,6 @@ def measure(run, eval_batch: int, seed: int) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("workload", help="a train workload of the spec")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--spec", type=Path, default=SPEC,
                         help="the workload file (default: perfbench's)")
     args = parser.parse_args(argv)
@@ -142,7 +142,7 @@ def main(argv=None) -> int:
         trains = sorted(n for n, w in workloads.items() if w["kind"] == "train")
         parser.error(f"{args.workload!r} is not a train workload; choose from "
                      f"{', '.join(trains)}")
-    for line in measure(spec["run"], spec["eval_batch"], args.seed):
+    for line in measure(spec["run"], spec["eval_batch"]):
         print(line, flush=True)
     return 0
 
