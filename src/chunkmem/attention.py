@@ -76,10 +76,10 @@ def sinusoidal_table(n_positions: int, d_model: int, dtype=np.float64) -> np.nda
 
 
 def scaled_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   shape=None, dtype=np.float64) -> np.ndarray:
-    """Uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out))."""
+                   dtype=np.float64) -> np.ndarray:
+    """(fan_in, fan_out) of Uniform(-a, a), a = sqrt(6 / (fan_in + fan_out))."""
     a = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-a, a, size=shape or (fan_in, fan_out)).astype(dtype)
+    return rng.uniform(-a, a, size=(fan_in, fan_out)).astype(dtype)
 
 
 def _split_heads(tape: GradTape, x: Tensor, n_heads: int) -> Tensor:
@@ -141,7 +141,7 @@ def _attend(
         np.put_along_axis(cut, sel, 0.0, axis=-1)
         scores = tape.add(scores, Tensor(cut))
 
-    return tape.matmul(tape.softmax(scores, axis=-1), vh)
+    return tape.matmul(tape.softmax(scores), vh)
 
 
 def _fold(tape: GradTape, params: AttentionParams, name: str,
@@ -312,8 +312,9 @@ def local_attention(
     serves both: it projects, attends, merges the heads and applies wo.
     The counter counts the pairs scored either way.
     """
-    if window < 1:
-        raise ContractError(f"window must be >= 1, got {window}")
+    if window < 1 or n_carry < 0 or xl_extra < 0:
+        raise ContractError(f"window must be >= 1, n_carry and xl_extra >= 0,"
+                            f" got {window}, {n_carry} and {xl_extra}")
     s_total = seq.shape[-2]
     t_len = s_total - n_carry
     if t_len < 1:
@@ -398,7 +399,7 @@ def chunk_relevance(
     if counter is not None:
         sh = scores.shape
         counter.add(math.prod(sh[:-2]) * sh[-2] * sh[-1])
-    return tape.softmax(scores, axis=-1)
+    return tape.softmax(scores)
 
 
 # float dtype -> (signed integer of its width, that integer's minimum)
@@ -520,7 +521,7 @@ def _read_rows(tape: GradTape, qt: Tensor, weights: Tensor,
     if pos is not None:
         scores = tape.add(scores, tape.reshape(
             tape.matmul(qt, Tensor(pos.T)), (*lead, m, h, 1, c)))
-    att = tape.multiply(tape.softmax(scores, axis=-1),
+    att = tape.multiply(tape.softmax(scores),
                         tape.reshape(weights, (*lead, m, 1, kk, 1)))
     att = tape.reshape(att, (*lead, m, h, kk * c))
     read = tape.matmul(att, Tensor(rows), b_again=rows_again)
@@ -530,8 +531,8 @@ def _read_rows(tape: GradTape, qt: Tensor, weights: Tensor,
 def hcam_block(
     tape: GradTape,
     x: Tensor,
-    summaries,
-    chunks,
+    summaries: np.ndarray,
+    chunks: np.ndarray,
     params: HcamParams,
     n_heads: int,
     top_k: int,
@@ -542,12 +543,12 @@ def hcam_block(
     """Hierarchical recall: score summaries, attend inside top-k chunks.
 
     x (..., q, d) is the block input; summaries (..., N, d) and chunks
-    (..., N, C, d) come from memory and are gradient-isolated. Each query
-    row picks its own top-k chunks from the relevance softmax; the selected
-    chunks' detail-attention outputs, weighted by their unrenormalized
-    relevance, are summed and added to x. A row that sees no chunk passes
-    through unchanged. pos_table rows 0..C-1 are added to each chunk's
-    rows on the key and value side.
+    (..., N, C, d) are memory's arrays, with x's leading dims, so no
+    gradient reaches them. Each query row picks its own top-k chunks from
+    the relevance softmax; the selected chunks' detail-attention outputs,
+    weighted by their unrenormalized relevance, are summed and added to x.
+    A row that sees no chunk passes through unchanged. pos_table rows
+    0..C-1 are added to each chunk's rows on the key and value side.
 
     visible = (lo, hi), two length-q integer arrays, lets query row t see
     only chunks [lo[t], hi[t]); None lets every row see all N. Each run of
@@ -570,13 +571,15 @@ def hcam_block(
     otherwise the last ones built are reused while every weight's bits and
     x's dtype, n_heads, the slot count and the position rows match.
     """
-    if isinstance(summaries, Tensor):
-        summaries = summaries.data
-    if isinstance(chunks, Tensor):
-        chunks = chunks.data
-    chunks = np.asarray(chunks)
     *lead, q, d = x.shape
-    n, c = summaries.shape[-2], chunks.shape[-2]
+    if d % n_heads != 0:
+        raise ShapeError(f"d_model {d} not divisible by n_heads {n_heads}")
+    n = summaries.shape[-2] if summaries.ndim > 1 else -1
+    c = chunks.shape[-2] if chunks.ndim > 1 else -1
+    if summaries.shape != (*lead, n, d) or chunks.shape != (*lead, n, c, d):
+        raise ShapeError(f"recall of x {x.shape} needs summaries (..., N, "
+                         f"{d}) and chunks (..., N, C, {d}) with x's leading "
+                         f"dims, got {summaries.shape} and {chunks.shape}")
     if pos_table is not None and pos_table.shape[0] < c:
         raise ShapeError(f"position table has {pos_table.shape[0]} rows, "
                          f"chunks have {c}")
@@ -588,8 +591,9 @@ def hcam_block(
             raise ShapeError(f"visible bounds need shape ({q},), got "
                              f"{lo.shape} and {hi.shape}")
         bounds = list(zip(lo.tolist(), hi.tolist()))
-        if any(not 0 <= a <= b <= n for a, b in bounds):
-            raise ContractError(f"visible bounds must satisfy "
+        if lo.dtype.kind not in "iu" or hi.dtype.kind not in "iu" or any(
+                not 0 <= a <= b <= n for a, b in bounds):
+            raise ContractError(f"visible bounds must be integers with "
                                 f"0 <= lo <= hi <= {n}")
 
     # runs of rows with equal bounds: (first row, end row, lo, hi)

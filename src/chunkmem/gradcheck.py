@@ -1,6 +1,6 @@
 """Finite-difference gradient checking.
 
-Central differences at h=1e-5 in 64-bit give ~1e-10 truncation error on
+Central differences at H=1e-5 in 64-bit give ~1e-10 truncation error on
 O(1) losses, so a 1e-4 relative tolerance has orders of magnitude of
 headroom; anything past it is a real backward bug. Large tensors are
 checked on a sampled subset of entries, which is what keeps the full
@@ -14,22 +14,23 @@ import numpy as np
 from .rng import make_rng
 from .tensor import GradTape, Tensor
 
-H_DEFAULT = 1e-5
+H = 1e-5  # central-difference step
+FLOOR = 1e-6  # least denominator of a relative error
 TOL_DEFAULT = 1e-4
 
 
-def max_rel_err(a: np.ndarray, n: np.ndarray, floor: float = 1e-6) -> float:
-    """Worst elementwise |a-n| / max(|a|, |n|, floor)."""
+def max_rel_err(a: np.ndarray, n: np.ndarray) -> float:
+    """Worst elementwise |a-n| / max(|a|, |n|, FLOOR)."""
     a = np.asarray(a, dtype=np.float64)
     n = np.asarray(n, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), FLOOR)
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(a - n) / denom))
 
 
-def fd_check(build_loss, inputs: dict, h: float = H_DEFAULT,
-             max_entries: int | None = 40, rng=None, floor: float = 1e-6) -> dict:
+def fd_check(build_loss, inputs: dict, max_entries: int | None = 40,
+             rng=None) -> dict:
     """Compare tape gradients of build_loss against central differences.
 
     build_loss(tape, tensors) must return a scalar Tensor and be a pure
@@ -58,13 +59,13 @@ def fd_check(build_loss, inputs: dict, h: float = H_DEFAULT,
         worst = 0.0
         for i in idxs:
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + H
             fp = eval_loss()
-            flat[i] = orig - h
+            flat[i] = orig - H
             fm = eval_loss()
             flat[i] = orig
-            num = (fp - fm) / (2.0 * h)
-            worst = max(worst, max_rel_err(analytic[i], num, floor))
+            num = (fp - fm) / (2.0 * H)
+            worst = max(worst, max_rel_err(analytic[i], num))
         report[name] = worst
     return report
 
@@ -137,7 +138,7 @@ def _op_cases(rng):
     soft_w = Tensor(r(3, 5))  # fixed mixing weights so the loss sees all rows
     case("softmax", {"a": 2.0 * r(3, 5)},
          lambda tp, v: tp.reduce_sum(tp.multiply(
-             tp.softmax(v["a"], axis=-1), soft_w)))
+             tp.softmax(v["a"]), soft_w)))
     case("layer_norm", {"a": r(3, d), "g": 1.0 + 0.3 * r(d), "b": 0.3 * r(d)},
          lambda tp, v: tp.reduce_sum(tp.tanh(tp.layer_norm(v["a"], v["g"], v["b"]))))
 
@@ -158,13 +159,13 @@ def _op_cases(rng):
     return cases
 
 
-def run_op_checks(seed: int = 0, h: float = H_DEFAULT,
+def run_op_checks(seed: int = 0,
                   tol: float = TOL_DEFAULT) -> list[tuple[str, float, bool]]:
     """Finite-difference every tape op; returns (name, max rel err, ok) rows."""
     rng = make_rng(seed)
     rows = []
     for name, inputs, fn in _op_cases(rng):
-        report = fd_check(fn, inputs, h=h, rng=rng)
+        report = fd_check(fn, inputs, rng=rng)
         err = max(report.values())
         rows.append((name, err, err < tol))
     return rows
@@ -292,15 +293,14 @@ def _composed_cases(rng, sparse_rng, padded_rng):
     return cases
 
 
-def run_composed_checks(seed: int = 0, h: float = H_DEFAULT,
-                        tol: float = TOL_DEFAULT,
-                        max_entries: int = 25) -> list[tuple[str, float, bool]]:
+def run_composed_checks(seed: int = 0, tol: float = TOL_DEFAULT
+                        ) -> list[tuple[str, float, bool]]:
     """Finite-difference the recall block and the stepped stacks. Each case
-    samples its checked entries from the generator that drew its inputs."""
+    samples 25 entries an input from the generator that drew its inputs."""
     rows = []
     for name, inputs, fn, rng in _composed_cases(
             make_rng(seed), make_rng(seed + 1), make_rng(seed + 2)):
-        report = fd_check(fn, inputs, h=h, rng=rng, max_entries=max_entries)
+        report = fd_check(fn, inputs, max_entries=25, rng=rng)
         err = max(report.values())
         rows.append((name, err, err < tol))
     return rows

@@ -421,8 +421,8 @@ def forward_sequence(
         raise ContractError("forward_sequence needs (..., T, d_model) input")
     if xs.shape[-1] != cfg.d_model:
         raise ContractError(f"input width {xs.shape[-1]} != d_model {cfg.d_model}")
-    if last_only and xs.shape[-2] == 0:
-        raise ContractError("last_only needs at least one timestep")
+    if xs.shape[-2] == 0:
+        raise ContractError("forward_sequence needs at least one timestep")
     if state is None:
         state = init_state(model)
     return _forward(tape, model, xs, state, counter, last_only), state

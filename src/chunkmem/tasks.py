@@ -123,6 +123,11 @@ def ballet_batch(n_dances: int, delay: int, seed: int, start: int,
             np.array([e.label for e in eps], dtype=np.int64))
 
 
+def _null_rows(idx, vocab: int) -> np.ndarray:
+    """idx with each -1 entry mapped to vocab - 1, its table's null row."""
+    return np.where(np.asarray(idx) < 0, vocab - 1, idx)
+
+
 def encode_ballet_tokens(tape: GradTape, model: Model, dancers, directions,
                          queries) -> Tensor:
     """Token embedding: dancer + direction + query tables summed.
@@ -131,11 +136,9 @@ def encode_ballet_tokens(tape: GradTape, model: Model, dancers, directions,
     still produce a learned (not zero) token.
     """
     cfg = model.config
-    dancers = np.asarray(dancers)
-    di = np.where(dancers < 0, cfg.dancer_vocab - 1, dancers)
-    ri = np.where(np.asarray(directions) < 0, cfg.direction_vocab - 1,
-                  directions)
-    qi = np.where(np.asarray(queries) < 0, cfg.query_vocab - 1, queries)
+    di = _null_rows(dancers, cfg.dancer_vocab)
+    ri = _null_rows(directions, cfg.direction_vocab)
+    qi = _null_rows(queries, cfg.query_vocab)
     e = tape.embed_lookup(model.params["emb.dancer"], di)
     e = tape.add(e, tape.embed_lookup(model.params["emb.direction"], ri))
     return tape.add(e, tape.embed_lookup(model.params["emb.query"], qi))
@@ -160,10 +163,8 @@ def reconstruction_aux_loss(tape: GradTape, model: Model, ys: Tensor,
     ln(direction_vocab)).
     """
     cfg = model.config
-    dancers = np.asarray(dancers)
-    di = np.where(dancers < 0, cfg.dancer_vocab - 1, dancers)
-    ri = np.where(np.asarray(directions) < 0, cfg.direction_vocab - 1,
-                  directions)
+    di = _null_rows(dancers, cfg.dancer_vocab)
+    ri = _null_rows(directions, cfg.direction_vocab)
     ld = tape.add(tape.matmul(ys, model.params["recon.dancer.w"]),
                   model.params["recon.dancer.b"])
     lr = tape.add(tape.matmul(ys, model.params["recon.direction.w"]),

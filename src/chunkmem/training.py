@@ -134,8 +134,8 @@ def model_config(rc: RunConfig) -> ModelConfig:
     )
 
 
-def build_model(rc: RunConfig, seed: int | None = None) -> Model:
-    return Model(model_config(rc), seed=rc.seed if seed is None else seed)
+def build_model(rc: RunConfig) -> Model:
+    return Model(model_config(rc), seed=rc.seed)
 
 
 @dataclass

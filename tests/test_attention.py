@@ -177,6 +177,16 @@ def test_local_attention_with_every_row_carried_raises():
                         n_heads=2, pos_table=sinusoidal_table(4, 8), n_carry=3)
 
 
+@pytest.mark.parametrize("n_carry, xl_extra", [(-1, 0), (0, -1)])
+def test_local_attention_rejects_negative_carry_and_xl(n_carry, xl_extra):
+    # n_carry -1 on 3 rows once returned 4 rows; xl_extra -1 failed in an
+    # unrelated add broadcast
+    p = layer_params(10).attn
+    with pytest.raises(ContractError, match="n_carry and xl_extra >= 0"):
+        local_attention(GradTape(), Tensor(np.zeros((3, 8))), 2, p,
+                        n_heads=2, n_carry=n_carry, xl_extra=xl_extra)
+
+
 def test_local_attention_position_codes_change_scores():
     rng = make_rng(11)
     p = layer_params(11).attn
@@ -613,17 +623,20 @@ def test_hcam_locality_at_2048_chunks(windows):
 
 
 def test_hcam_gradients_flow_to_params_not_memory():
+    # memory comes in as arrays, which no tape can watch; backward reads
+    # them again but leaves them as they were
     p, rng = small_block(20)
     x = Tensor(rng.normal(size=(3, 8)))
-    summaries = Tensor(rng.normal(size=(4, 8)))
-    chunks = Tensor(rng.normal(size=(4, 3, 8)))
+    summaries = rng.normal(size=(4, 8))
+    chunks = rng.normal(size=(4, 3, 8))
+    kept = summaries.copy(), chunks.copy()
     tape = GradTape()
-    for t in (x, summaries, chunks, p.w_rel, p.mha.wq, p.mha.wo):
+    for t in (x, p.w_rel, p.mha.wq, p.mha.wo):
         tape.watch(t)
     out = hcam_block(tape, x, summaries, chunks, p, n_heads=2, top_k=2)
     g = tape.backward(tape.reduce_sum(tape.tanh(out)))
-    assert np.array_equal(g[summaries].data, np.zeros((4, 8)))
-    assert np.array_equal(g[chunks].data, np.zeros((4, 3, 8)))
+    assert np.array_equal(summaries, kept[0])
+    assert np.array_equal(chunks, kept[1])
     assert np.max(np.abs(g[p.w_rel].data)) > 0
     assert np.max(np.abs(g[p.mha.wq].data)) > 0
     assert np.max(np.abs(g[p.mha.wo].data)) > 0
@@ -713,6 +726,33 @@ def test_hcam_visible_bounds_are_checked():
         with pytest.raises(err):
             hcam_block(GradTape(), x, chunks.mean(1), chunks, p, n_heads=2,
                        top_k=1, visible=(np.array(lo), np.array(hi)))
+
+
+def test_hcam_rejects_malformed_memory_and_heads():
+    p, rng = small_block(26)
+    x = Tensor(rng.normal(size=(2, 8)))
+    chunks = rng.normal(size=(4, 2, 8))
+    for summaries, chunks_ in (
+            (chunks[:3].mean(1), chunks),  # 3 summaries of 4 chunks
+            (chunks.mean(1)[None], chunks[None]),  # a batch dim x lacks
+            (np.zeros((2, 4, 8)), np.zeros((3, 4, 2, 8))),  # memory disagrees
+            (chunks.mean(1)[:, :6], chunks),  # summary width is not d
+            (chunks.mean(1), chunks[0])):  # chunks without a chunk axis
+        with pytest.raises(ShapeError, match="recall of x"):
+            hcam_block(GradTape(), x, summaries, chunks_, p, n_heads=2,
+                       top_k=1)
+    with pytest.raises(ShapeError, match="not divisible"):
+        hcam_block(GradTape(), x, chunks.mean(1), chunks, p, n_heads=3,
+                   top_k=1)
+
+
+def test_hcam_rejects_float_visible_bounds():
+    p, rng = small_block(27)
+    x = Tensor(rng.normal(size=(2, 8)))
+    chunks = rng.normal(size=(4, 2, 8))
+    with pytest.raises(ContractError, match="integer"):
+        hcam_block(GradTape(), x, chunks.mean(1), chunks, p, n_heads=2,
+                   top_k=1, visible=(np.zeros(2), np.full(2, 4.0)))
 
 
 def test_hcam_rejects_a_short_position_table():

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
 
@@ -47,6 +49,21 @@ def test_previous_section_checks_the_parent_against_the_last_bench_file(tmp_path
     (tmp_path / "BENCH_x.json").write_text("not a bench file")
     prev = tool.previous_bench(tmp_path, tmp_path / "BENCH_8.json")
     assert prev == tmp_path / "BENCH_7.json"
+    # out's number picks the file, wherever out is written: a scratch
+    # BENCH_8 does not read the checkout's own BENCH_8
+    scratch = tmp_path / "scratch"
+    assert tool.previous_bench(tmp_path, scratch / "BENCH_8.json") == prev
+    assert tool.previous_bench(tmp_path, scratch / "BENCH_9.json") == \
+        tmp_path / "BENCH_8.json"
+    assert tool.previous_bench(tmp_path, scratch / "BENCH_7.json") == \
+        tmp_path / "BENCH_3.json"
+    assert tool.previous_bench(tmp_path, scratch / "BENCH_3.json") is None
+    for name in ("bench.json", "BENCH_8.json.tmp", "BENCH_x.json"):
+        with pytest.raises(ValueError, match="BENCH_<n>.json"):
+            tool.previous_bench(tmp_path, scratch / name)
+    with pytest.raises(SystemExit):  # before any pair runs
+        tool.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                   "--out", str(scratch / "bench.json")])
 
     def report(parent_median):
         return {"w": {"metrics": {

@@ -461,10 +461,15 @@ def test_last_only_one_step_is_stack_step(kind):
 
 
 def test_last_only_needs_a_step():
-    model = last_only_model("hcam", xl=0)
-    with pytest.raises(ContractError):
-        forward_sequence(GradTape(), model, Tensor(np.zeros((2, 0, 12))),
-                         last_only=True)
+    # every kind, with or without last_only: one named error, not the
+    # first op that trips on the empty sequence
+    for kind in ("hcam", "trxl", "trxl_topk", "lstm"):
+        model = last_only_model(kind, xl=0)
+        for last_only in (False, True):
+            with pytest.raises(ContractError, match="at least one timestep"):
+                forward_sequence(GradTape(), model,
+                                 Tensor(np.zeros((2, 0, 12))),
+                                 last_only=last_only)
 
 
 @pytest.mark.parametrize("kind", ["hcam", "trxl", "trxl_topk"])

@@ -23,10 +23,11 @@ loop of small matmuls and row reductions (--host-child). Its runs go under
 "host" -> "reference" in the BENCH file: a measure of the host's speed at
 the time, taken apart from the code under test.
 
-When the change's checkout holds an earlier BENCH_<n>.json (the one with
-the highest n, other than --out), a "previous" section gives, for each
-workload and metric, that file's change-side median and quartiles, and
-whether this run's parent median falls inside them: the parent here is
+--out must be named BENCH_<n>.json, wherever it is written. When the
+change's checkout holds a BENCH_<m>.json with m below n (the one with the
+highest such m), a "previous" section gives, for each workload and
+metric, that file's change-side median and quartiles, and whether this
+run's parent median falls inside them: the parent here is
 normally the change measured there, so this checks that a rerun lands
 within the recorded spread. host_ratio is this run's reference median over
 the earlier file's, and each row gets a verdict:
@@ -117,11 +118,20 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
                 sign * (c["median"] - p["median"]) > p["iqr"]}
 
 
+def bench_number(path: Path) -> int | None:
+    """n for a file named BENCH_<n>.json, else None."""
+    n = path.name.removeprefix("BENCH_").removesuffix(".json")
+    return int(n) if path.name == f"BENCH_{n}.json" and n.isdigit() else None
+
+
 def previous_bench(change: Path, out: Path) -> Path | None:
-    """The highest-numbered BENCH_<n>.json in change other than out."""
-    found = [(int(n), p) for p in change.glob("BENCH_*.json")
-             if (n := p.stem.removeprefix("BENCH_")).isdigit()
-             and p.resolve() != out.resolve()]
+    """The BENCH_<m>.json in change with the highest m below out's n,
+    wherever out is written; ValueError if out is not BENCH_<n>.json."""
+    n = bench_number(out)
+    if n is None:
+        raise ValueError(f"--out must be named BENCH_<n>.json, got {out.name}")
+    found = [(m, p) for p in change.glob("BENCH_*.json")
+             if (m := bench_number(p)) is not None and m < n]
     return max(found)[1] if found else None
 
 
@@ -331,6 +341,10 @@ def main(argv=None) -> int:
 
     given = {"parent": args.parent, "change": args.change}
     sides = {name: path.resolve() for name, path in given.items()}
+    try:
+        prev = previous_bench(sides["change"], args.out)
+    except ValueError as e:
+        p.error(str(e))
     bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
@@ -378,7 +392,6 @@ def main(argv=None) -> int:
                 "unit": m["unit"], "better": m["better"], "bound": m["bound"],
                 **compare(vals["parent"], vals["change"], m["better"])}
         report["workloads"][w] = entry
-    prev = previous_bench(sides["change"], args.out)
     if prev is not None:
         report["previous"] = previous_section(
             prev, report["workloads"], host_reference_median(report))
