@@ -53,7 +53,7 @@ params = HcamParams(
 tape = GradTape(recording=False)
 query = Tensor((special + 0.1 * rng.normal(size=d)).reshape(1, d))
 normed = tape.layer_norm(query, params.ln_gain, params.ln_bias)
-rel = chunk_relevance(tape, normed, Tensor(summaries), params.w_rel)
+rel = chunk_relevance(tape, normed, summaries, params.w_rel)
 
 ratios = rel.data[0] * rel.shape[-1]  # 1.0 is a chunk's uniform share
 print("\nrelevance vs uniform share (1.0 = no preference):")

@@ -6,9 +6,9 @@ attention inside only the top-k chunks and adds the relevance-weighted
 results back to the input. Scoring is N summary dots plus k*C detail dots
 per query, against N*C for attending over every stored timestep.
 
-Memory contents (summaries and chunk rows) are always constants here,
-built from their arrays as Tensor(x.data), so training shapes how memories
-are queried and used, never what was written.
+Memory contents (summaries and chunk rows) arrive as arrays and enter the
+tape only as constants, so training shapes how memories are queried and
+used, never what was written.
 """
 
 from __future__ import annotations
@@ -378,24 +378,61 @@ def local_attention(
     return tape.matmul(out, params.wo)
 
 
+def _visible_bounds(visible, q: int, n: int) -> tuple[list, list]:
+    """visible = (lo, hi) as two lists of ints, or every row's [0, n) for
+    None; raises unless they are two length-q integer arrays with
+    0 <= lo <= hi <= n."""
+    if visible is None:
+        return [0] * q, [n] * q
+    lo, hi = (np.asarray(v) for v in visible)
+    if lo.shape != (q,) or hi.shape != (q,):
+        raise ShapeError(f"visible bounds need shape ({q},), got "
+                         f"{lo.shape} and {hi.shape}")
+    kinds = lo.dtype.kind + hi.dtype.kind
+    lo, hi = lo.tolist(), hi.tolist()
+    if set(kinds) - set("iu") or any(not 0 <= a <= b <= n
+                                     for a, b in zip(lo, hi)):
+        raise ContractError(f"visible bounds must be integers with "
+                            f"0 <= lo <= hi <= {n}")
+    return lo, hi
+
+
 def chunk_relevance(
     tape: GradTape,
     queries: Tensor,
-    summaries: Tensor,
+    summaries: np.ndarray,
     w_rel: Tensor,
     counter: ScoreCounter | None = None,
+    visible: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Tensor:
     """Softmax over chunks of (projected query . chunk summary) scores.
 
-    queries (..., q, d); summaries (..., N, d), treated as constants.
-    Rows of the result sum to 1 over the N chunks.
+    queries (..., q, d); summaries (..., N, d) is memory's array, so no
+    gradient reaches it. visible = (lo, hi), two length-q integer arrays
+    whose windows all have one width w, lets query row t see only chunks
+    [lo[t], hi[t]); None lets every row see all N. Every row is scored in
+    one matmul against the union of the windows, each run of rows with
+    equal bounds has its own window cut out of those scores, and one
+    softmax follows. The result is (..., q, w): column j of row t is chunk
+    lo[t] + j, and each row sums to 1. The counter counts w pairs a row.
     """
-    n = summaries.shape[-2]
-    if n == 0:
+    q, n = queries.shape[-2], summaries.shape[-2]
+    lo, hi = _visible_bounds(visible, q, n)
+    a, b = min(lo, default=0), max(hi, default=n)
+    w = hi[0] - lo[0] if q else n
+    if any(e - s != w for s, e in zip(lo, hi)):
+        raise ContractError("chunk_relevance needs visible windows of one "
+                            "width")
+    if w == 0:
         raise EmptyMemoryError("no complete chunks to score")
     qs = tape.matmul(queries, w_rel)
-    s = Tensor(summaries.data)
-    scores = tape.matmul(qs, tape.swap_last2(s))
+    scores = tape.matmul(qs, tape.swap_last2(Tensor(summaries[..., a:b, :])))
+    if w < b - a:  # cut each run's window out of the union's scores
+        starts = [t for t in range(q) if t == 0 or lo[t] != lo[t - 1]]
+        parts = [tape.slice_ax(tape.slice_ax(scores, -2, ts, te), -1,
+                               lo[ts] - a, lo[ts] - a + w)
+                 for ts, te in zip(starts, starts[1:] + [q])]
+        scores = tape.concat(parts, axis=-2)
     if counter is not None:
         sh = scores.shape
         counter.add(math.prod(sh[:-2]) * sh[-2] * sh[-1])
@@ -416,8 +453,9 @@ def top_k_select(scores: np.ndarray, k: int) -> np.ndarray:
 
     Each row takes k rounds of a first-maximum scan over integer keys in
     the floats' order, each of which marks its pick with a key below every
-    entry: O(k * N) for N entries, and no sort. NaN keys sit just above the
-    mark. Input that is not float32 or float64 is ranked as float64.
+    entry, and returns the k picks sorted: O(k * N) for N entries, and no
+    sort of the entries. NaN keys sit just above the mark. Input that is
+    not float32 or float64 is ranked as float64.
     """
     if k < 1:
         raise ContractError(f"top_k must be >= 1, got {k}")
@@ -430,14 +468,18 @@ def top_k_select(scores: np.ndarray, k: int) -> np.ndarray:
         return np.broadcast_to(np.arange(n), scores.shape).copy()
     flat = scores.reshape(-1, n)
     int_type, mark = _RANK_INT[flat.dtype]
-    bits = flat.view(int_type)  # sign and magnitude -> two's complement
-    key = np.where(bits < 0, mark - bits, bits)  # -0.0 and 0.0 map to 0
+    # adding 0.0 turns -0.0 into 0.0; then flipping a negative float's
+    # magnitude bits (sign and magnitude -> two's complement) orders the keys
+    key = (flat + 0.0).view(int_type)
+    key ^= (key >> (8 * key.itemsize - 1)) & ~mark
     key[flat != flat] = mark + 1
     row_start = np.arange(0, key.size, n)
     flat_key = key.reshape(-1)
-    for _ in range(kk):  # argmax returns the first maximum
-        flat_key[key.argmax(axis=-1) + row_start] = mark
-    picked = np.flatnonzero(flat_key == mark) % n
+    picked = np.empty((len(row_start), kk), dtype=np.intp)
+    for j in range(kk):  # argmax returns the first maximum
+        picked[:, j] = key.argmax(axis=-1)
+        flat_key[picked[:, j] + row_start] = mark
+    picked.sort(axis=-1)
     return picked.reshape(scores.shape[:-1] + (kk,))
 
 
@@ -551,10 +593,15 @@ def hcam_block(
     0..C-1 are added to each chunk's rows on the key and value side.
 
     visible = (lo, hi), two length-q integer arrays, lets query row t see
-    only chunks [lo[t], hi[t]); None lets every row see all N. Each run of
-    rows with equal bounds is scored and selects on its own. Then the
-    detail read runs in input space, one block of query rows at a time,
-    each block's gathered rows at most RECALL_BLOCK_BYTES: it gathers each
+    only chunks [lo[t], hi[t]); None lets every row see all N. Consecutive
+    runs of rows with equal bounds whose windows have one width form a
+    stretch (a run that sees no chunk stands alone), and each stretch is
+    scored and selects in one pass: one chunk_relevance over the union of
+    its windows, cut back to each row's window before the softmax, one
+    top_k_select and one gather of the picks' relevance; a stretch of one
+    run is scored against its window alone, with no cut. Then the detail
+    read runs in input space, one block of query rows at a time, each
+    block's gathered rows at most RECALL_BLOCK_BYTES: it gathers each
     row's selected chunk rows as constants, scores them against the query
     folded through wq_h wk_h^T, softmaxes per chunk, weights by relevance
     and sums the rows; only that sum, joined over the blocks, passes
@@ -583,18 +630,7 @@ def hcam_block(
     if pos_table is not None and pos_table.shape[0] < c:
         raise ShapeError(f"position table has {pos_table.shape[0]} rows, "
                          f"chunks have {c}")
-    if visible is None:
-        bounds = [(0, n)] * q
-    else:
-        lo, hi = (np.asarray(v) for v in visible)
-        if lo.shape != (q,) or hi.shape != (q,):
-            raise ShapeError(f"visible bounds need shape ({q},), got "
-                             f"{lo.shape} and {hi.shape}")
-        bounds = list(zip(lo.tolist(), hi.tolist()))
-        if lo.dtype.kind not in "iu" or hi.dtype.kind not in "iu" or any(
-                not 0 <= a <= b <= n for a, b in bounds):
-            raise ContractError(f"visible bounds must be integers with "
-                                f"0 <= lo <= hi <= {n}")
+    bounds = list(zip(*_visible_bounds(visible, q, n)))
 
     # runs of rows with equal bounds: (first row, end row, lo, hi)
     starts = [t for t in range(q) if t == 0 or bounds[t] != bounds[t - 1]]
@@ -610,21 +646,33 @@ def hcam_block(
     body = x if q == nq else tape.slice_ax(x, -2, r0, r1)
     kk = max(1, min(top_k, max(b - a for *_t, a, b in runs)))
 
-    # phase 1: relevance and top-k for every run; ids are global chunk ids
+    # phase 1: relevance and top-k, one pass per stretch of consecutive
+    # runs whose windows have one width; ids are global chunk ids
+    stretches = []  # [first row, end row, union of the windows, width]
+    for ts, te, a, b in runs:
+        last = stretches[-1] if stretches else None
+        if last and a < b and last[4] == b - a:
+            last[1:4] = te, min(last[2], a), max(last[3], b)
+        else:
+            stretches.append([ts, te, a, b, b - a])
     normed = tape.layer_norm(body, params.ln_gain, params.ln_bias)
     ids = np.zeros((*lead, q, kk), dtype=np.int64)  # empty slots: chunk 0
     weights = []
-    for ts, te, a, b in runs:
+    for ts, te, a, b, width in stretches:
         pad = np.zeros((*lead, te - ts, kk), dtype=x.dtype)
-        if a == b:
+        if not width:
             weights.append(Tensor(pad))
             continue
         seg = normed if te - ts == q else tape.slice_ax(normed, -2, ts, te)
-        rel = chunk_relevance(tape, seg, Tensor(summaries[..., a:b, :]),
-                              params.w_rel, counter)
+        windows = None  # one run: its window is the union
+        if b - a > width:  # each row's window, within the union
+            windows = tuple(np.array(bounds[r0 + ts:r0 + te]).T - a)
+        rel = chunk_relevance(tape, seg, summaries[..., a:b, :], params.w_rel,
+                              counter, visible=windows)
         sel = top_k_select(rel.data, top_k)
         k = sel.shape[-1]
-        ids[..., ts:te, :k] = sel + a
+        ids[..., ts:te, :k] = sel + (a if windows is None
+                                     else a + windows[0][:, None])
         w = tape.gather_last(rel, sel)  # relevance of the selected chunks
         if k < kk:  # and weight 0 for the empty slots
             w = tape.concat([w, Tensor(pad[..., k:])], axis=-1)

@@ -4,9 +4,10 @@ Every layer of the chunked-recall stack does, in order: write the raw layer
 input to that layer's chunk memory, add windowed causal self-attention, add
 relevance-gated recall over the memory's frozen chunks, add an MLP. One
 per-layer routine runs every model kind. forward_sequence hands it a whole
-sequence, and recall selects chunks for each group of positions that see
-the same frozen chunks, then reads the picked chunks' rows one cache-sized
-block of positions at a time; stack_step hands it a one-step sequence,
+sequence, and recall selects chunks for each stretch of positions whose
+windows of frozen chunks have one width, in one pass however the window
+moves along it, then reads the picked chunks' rows one cache-sized block of
+positions at a time; stack_step hands it a one-step sequence,
 whose recall then reads k chunks however many are stored. The tests check
 both against a step-at-a-time reference that writes to and reads from a
 ChunkMemory on every step.
@@ -388,7 +389,7 @@ def _forward(tape: GradTape, model: Model, xs: Tensor, state: StackState,
         h = tape.add(queries, att)
         if cfg.kind == "hcam":
             # chunks hold the raw layer inputs; one call selects for each
-            # run of query rows that see the same window of chunks
+            # stretch of query rows whose windows of chunks have one width
             summaries, chunks, lo, hi = state.memories[li].write(x.data)
             q = h.shape[-2]
             h = hcam_block(tape, h, summaries, chunks, layer.hcam, cfg.n_heads,

@@ -299,7 +299,7 @@ def test_criterion_08_sparsity_locality():
 
         tape = GradTape(recording=False)
         normed = tape.layer_norm(x, params.ln_gain, params.ln_bias)
-        rel = chunk_relevance(tape, normed, Tensor(summaries), params.w_rel)
+        rel = chunk_relevance(tape, normed, summaries, params.w_rel)
         sel = top_k_select(rel.data, k)
         unused = np.setdiff1d(np.arange(n), sel.reshape(-1))
         assert unused.size > 0

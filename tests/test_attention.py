@@ -365,7 +365,7 @@ def test_chunk_relevance_matches_naive():
     w = Tensor(rng.normal(size=(d, d)))
     x = rng.normal(size=(4, d))
     s = rng.normal(size=(5, d))
-    got = chunk_relevance(GradTape(), Tensor(x), Tensor(s), w).data
+    got = chunk_relevance(GradTape(), Tensor(x), s, w).data
     scores = (x @ w.data) @ s.T
     e = np.exp(scores - scores.max(-1, keepdims=True))
     want = e / e.sum(-1, keepdims=True)
@@ -377,7 +377,7 @@ def test_chunk_relevance_single_chunk_is_one():
     rng = make_rng(13)
     got = chunk_relevance(
         GradTape(), Tensor(rng.normal(size=(3, 4))),
-        Tensor(rng.normal(size=(1, 4))), Tensor(np.eye(4))).data
+        rng.normal(size=(1, 4)), Tensor(np.eye(4))).data
     assert np.array_equal(got, np.ones((3, 1)))
 
 
@@ -385,31 +385,56 @@ def test_chunk_relevance_identical_summaries_uniform():
     rng = make_rng(14)
     s = np.tile(rng.normal(size=(1, 4)), (5, 1))
     got = chunk_relevance(
-        GradTape(), Tensor(rng.normal(size=(2, 4))), Tensor(s),
+        GradTape(), Tensor(rng.normal(size=(2, 4))), s,
         Tensor(np.eye(4))).data
     assert np.max(np.abs(got - 0.2)) < 1e-12
 
 
 def test_chunk_relevance_passes_no_gradient_to_summaries():
-    # summaries are memory contents: the queries and w_rel learn from the
-    # relevance, what was stored does not
+    # summaries are memory contents, passed as an array: the queries and
+    # w_rel learn from the relevance, what was stored is left as it was
     rng = make_rng(15)
-    x, s, w = (Tensor(rng.normal(size=shape))
-               for shape in ((3, 4), (5, 4), (4, 4)))
+    x, w = (Tensor(rng.normal(size=shape)) for shape in ((3, 4), (4, 4)))
+    s = rng.normal(size=(5, 4))
+    kept = s.copy()
     tp = GradTape()
-    for t in (x, s, w):
+    for t in (x, w):
         tp.watch(t)
     rel = chunk_relevance(tp, x, s, w)
     loss = tp.reduce_sum(tp.multiply(rel, Tensor(rng.normal(size=(3, 5)))))
     g = tp.backward(loss)
-    assert np.array_equal(g[s].data, np.zeros((5, 4)))
+    assert np.array_equal(s, kept)
     assert np.all(g[x].data != 0) and np.all(g[w].data != 0)
+
+
+def test_chunk_relevance_scores_each_rows_own_window():
+    # rows whose windows share one width are scored against their union in
+    # one pass, and each row's softmax covers its own window alone
+    rng = make_rng(16)
+    w = Tensor(rng.normal(size=(4, 4)))
+    x = rng.normal(size=(2, 5, 4))
+    s = rng.normal(size=(2, 8, 4))
+    lo, hi = np.array([0, 0, 1, 3, 3]), np.array([4, 4, 5, 7, 7])
+    ctr = ScoreCounter()
+    got = chunk_relevance(GradTape(), Tensor(x), s, w, ctr,
+                          visible=(lo, hi)).data
+    assert got.shape == (2, 5, 4) and ctr.scores == 2 * 5 * 4
+    for t, (a, b) in enumerate(zip(lo, hi)):
+        scores = (x[:, t] @ w.data)[:, None] @ s[:, a:b].swapaxes(-1, -2)
+        e = np.exp(scores - scores.max(-1, keepdims=True))
+        want = (e / e.sum(-1, keepdims=True))[:, 0]
+        assert np.max(np.abs(got[:, t] - want)) < 1e-12
+    with pytest.raises(ContractError, match="one width"):
+        chunk_relevance(GradTape(), Tensor(x), s, w,
+                        visible=(lo, hi + np.array([0, 0, 0, 0, 1])))
+    with pytest.raises(ContractError, match="0 <= lo <= hi <= 8"):
+        chunk_relevance(GradTape(), Tensor(x), s, w, visible=(lo + 2, hi + 2))
 
 
 def test_chunk_relevance_empty_memory_raises():
     with pytest.raises(EmptyMemoryError):
         chunk_relevance(
-            GradTape(), Tensor(np.zeros((2, 4))), Tensor(np.zeros((0, 4))),
+            GradTape(), Tensor(np.zeros((2, 4))), np.zeros((0, 4)),
             Tensor(np.eye(4)))
 
 
@@ -565,7 +590,7 @@ def test_hcam_sparsity_locality_bitwise():
         GradTape(), Tensor(x), summaries, chunks, p, n_heads=2, top_k=k)
     sel = np.unique(top_k_select(chunk_relevance(
         GradTape(), GradTape().layer_norm(Tensor(x), p.ln_gain, p.ln_bias),
-        Tensor(summaries), p.w_rel).data, k))
+        summaries, p.w_rel).data, k))
     unselected = [i for i in range(n) if i not in sel]
     assert unselected, "fixture must leave some chunk unselected"
     chunks2 = chunks.copy()
@@ -595,7 +620,7 @@ def test_hcam_locality_at_2048_chunks(windows):
     normed = tape.layer_norm(Tensor(x), p.ln_gain, p.ln_bias).data
     picked = np.unique(np.concatenate([
         top_k_select(chunk_relevance(tape, Tensor(normed[t:t + 1]),
-                                     Tensor(summaries[a:b]), p.w_rel).data,
+                                     summaries[a:b], p.w_rel).data,
                      k).reshape(-1) + a
         for t, (a, b) in enumerate(bounds)]))
     unpicked = np.setdiff1d(np.arange(n), picked)

@@ -383,6 +383,52 @@ def test_ballet_batch_gathers_each_rows_top_k_chunks(monkeypatch):
         monkeypatch.undo()
 
 
+def test_full_memory_sequence_scores_each_stretch_once(monkeypatch):
+    # against a full memory that evicts on every freeze, every row's window
+    # is capacity chunks wide though it moves at each chunk boundary, so
+    # each layer scores all its rows in one relevance pass and selects in
+    # one top-k pass; every row still reads only chunks of its own window
+    cfg = ModelConfig(kind="hcam", d_model=16, n_heads=2, n_layers=2,
+                      chunk_size=4, top_k=2, local_window=4, capacity=8)
+    model = Model(cfg, seed=3)
+    xs = make_rng(13).normal(size=(8 * 4 + 40, 16))
+    tape = GradTape(recording=False)
+    _, state = forward_sequence(tape, model, Tensor(xs[None, :32]))
+    assert all(m.n_chunks == cfg.capacity for m in state.memories)
+    counts = dict.fromkeys(("chunk_relevance", "top_k_select"), 0)
+    for name in counts:
+        def counting(*args, _name=name, _f=getattr(attention, name), **kw):
+            counts[_name] += 1
+            return _f(*args, **kw)
+        monkeypatch.setattr(attention, name, counting)
+    calls = []  # per hcam_block call: its visible bounds, its gathered ids
+    block, take = stack.hcam_block, GradTape.take_rows
+
+    def recalling(*args, visible, **kw):
+        calls.append([visible])
+        return block(*args, visible=visible, **kw)
+
+    def taking(tape, a, idx):
+        calls[-1].append(idx)
+        return take(tape, a, idx)
+
+    monkeypatch.setattr(stack, "hcam_block", recalling)
+    monkeypatch.setattr(GradTape, "take_rows", taking)
+    ys, _ = forward_sequence(tape, model, Tensor(xs[None, 32:]), state)
+    monkeypatch.undo()
+    assert counts == {"chunk_relevance": 2, "top_k_select": 2}
+    assert len(calls) == cfg.n_layers
+    for (lo, hi), idx in calls:
+        assert len(set(lo.tolist())) == 11  # 10 freezes in 40 rows
+        assert np.all(hi - lo == cfg.capacity)
+        ids = idx.reshape(40, cfg.top_k)
+        assert np.all((lo[:, None] <= ids) & (ids < hi[:, None]))
+    steps = run_steps(model, xs)[32:]
+    ref = ref_hcam_steps(model, xs)[32:]
+    assert np.max(np.abs(ys.data[0] - steps)) < 1e-9
+    assert np.max(np.abs(ys.data[0] - ref)) < 1e-9
+
+
 # ------------------------------------------------ last_only: one query row
 
 LAST_ONLY_CASES = [

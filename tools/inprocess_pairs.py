@@ -17,14 +17,19 @@ perfbench/spec.json (only read; name workloads to run only those) runs
   side's own model and Adam, then one evaluate a side of the workload's
   eval_batch fresh episodes in one batch;
 - a stream workload: STREAM_STEPS stack_step calls a side on the same
-  inputs, against a memory filled to capacity first.
+  inputs, against a memory filled to capacity first, then one
+  forward_sequence a side of those inputs from a copy of the state taken
+  before the steps: the replay perfbench times as eval_episodes_per_s.
 
 Models, minibatches and stream inputs are those of seed SEED.
 
 Every round asserts that the two sides' losses, evaluate accuracies and
 step outputs are equal bit for bit, so it suits changes that keep the
-numbers. Per workload and operation it prints each side's median ms over
-the rounds and the change's median over the parent's.
+numbers. A replay may round differently from the steps, so each side's
+replay is checked against its own step outputs at the workload's rtol and
+atol, as perfbench checks it. Per workload and operation it prints each
+side's median ms over the rounds and the change's median over the
+parent's.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before NumPy loads its BLAS
 
 import argparse  # noqa: E402
+import copy  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
@@ -50,6 +56,7 @@ SPEC = ROOT / "perfbench" / "spec.json"
 SIDES = ("parent", "change")
 SEED = 0
 STREAM_STEPS = 100  # stack_step calls a side in a stream round
+REPLAY = "forward_sequence"  # the stream op each side checks on its own
 
 
 def load_library(name: str, checkout: Path):
@@ -123,8 +130,10 @@ class StreamSide:
                                                 self.state)
 
     def steps(self, rows: np.ndarray):
-        """(median seconds a step, the outputs) of stack_step over rows."""
+        """(median seconds a step, the outputs) of stack_step over rows;
+        keeps the state before the first step and the outputs for replay."""
         st, tensor = self.lib["stack"], self.lib["tensor"].Tensor
+        self.before = copy.deepcopy(self.state)
         times, outs = [], []
         for row in rows:
             x = tensor(row[None, None, :])
@@ -132,14 +141,33 @@ class StreamSide:
             y = st.stack_step(self.tape, self.model, self.state, x)
             times.append(perf_counter() - t0)
             outs.append(y.data)
-        return statistics.median(times), np.stack(outs)
+        self.outs = np.stack(outs)
+        return statistics.median(times), self.outs
+
+    def replay(self, rows: np.ndarray, rtol: float, atol: float):
+        """(seconds, None) of forward_sequence over the rows the last steps
+        call took, from a copy of the state before it; raises
+        AssertionError if the replay is not within rtol and atol of those
+        steps' outputs."""
+        xs = self.lib["tensor"].Tensor(rows[None])
+        state = copy.deepcopy(self.before)
+        t0 = perf_counter()
+        ys, _ = self.lib["stack"].forward_sequence(self.tape, self.model, xs,
+                                                   state)
+        dt = perf_counter() - t0
+        got, want = ys.data.ravel(), self.outs.ravel()
+        if not np.allclose(got, want, rtol=rtol, atol=atol):
+            err = float(np.max(np.abs(got - want)))
+            raise AssertionError(f"replay differs from its steps by {err:.3g}")
+        return dt, None
 
 
 def alternate(rounds: int, ops: dict) -> dict:
     """ops maps an operation's name to a function (side, round) -> (seconds,
     value). Runs every op on both sides each round, the parent first in even
-    rounds, asserts the sides' values equal bit for bit, and returns each
-    op's seconds per side."""
+    rounds, asserts the sides' values equal bit for bit (an op whose value
+    is None checks its side itself), and returns each op's seconds per
+    side."""
     times = {name: {side: [] for side in SIDES} for name in ops}
     for i in range(rounds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -148,6 +176,8 @@ def alternate(rounds: int, ops: dict) -> dict:
             for side in order:
                 dt, values[side] = op(side, i)
                 times[name][side].append(dt)
+            if all(values[s] is None for s in SIDES):
+                continue
             a, b = (np.asarray(values[s]) for s in SIDES)
             if a.dtype != b.dtype or a.shape != b.shape or \
                     a.tobytes() != b.tobytes():
@@ -168,8 +198,14 @@ def run_workload(libs: dict, spec: dict, rounds: int) -> dict:
     rows = np.random.default_rng(SEED).standard_normal(
         (fill + rounds * STREAM_STEPS, d)).astype(spec["model"]["dtype"])
     sides = {s: StreamSide(libs[s], spec, rows) for s in SIDES}
-    return alternate(rounds, {"stack_step": lambda s, i: sides[s].steps(
-        rows[fill + i * STREAM_STEPS:fill + (i + 1) * STREAM_STEPS])})
+
+    def window(i):
+        return rows[fill + i * STREAM_STEPS:fill + (i + 1) * STREAM_STEPS]
+
+    return alternate(rounds, {
+        "stack_step": lambda s, i: sides[s].steps(window(i)),
+        REPLAY: lambda s, i: sides[s].replay(
+            window(i), spec["rtol"], spec["atol"])})
 
 
 def main(argv=None) -> int:
@@ -197,7 +233,9 @@ def main(argv=None) -> int:
             print(f"{name} {op}: parent {med['parent']:.4g} ms, change "
                   f"{med['change']:.4g} ms, change/parent "
                   f"{med['change'] / med['parent']:.3f} over {args.rounds} "
-                  f"rounds, outputs equal", flush=True)
+                  f"rounds, outputs "
+                  f"{'near own steps' if op == REPLAY else 'equal'}",
+                  flush=True)
     return 0
 
 
