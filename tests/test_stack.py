@@ -414,9 +414,14 @@ def test_full_memory_sequence_scores_each_stretch_once(monkeypatch):
 
     monkeypatch.setattr(stack, "hcam_block", recalling)
     monkeypatch.setattr(GradTape, "take_rows", taking)
-    ys, _ = forward_sequence(tape, model, Tensor(xs[None, 32:]), state)
+    ctr = ScoreCounter()
+    ys, _ = forward_sequence(tape, model, Tensor(xs[None, 32:]), state,
+                             counter=ctr)
     monkeypatch.undo()
     assert counts == {"chunk_relevance": 2, "top_k_select": 2}
+    # each row still counts its own window, not the stretch's union
+    assert ctr.scores == cfg.n_layers * 40 * (
+        cfg.capacity + cfg.top_k * cfg.chunk_size)
     assert len(calls) == cfg.n_layers
     for (lo, hi), idx in calls:
         assert len(set(lo.tolist())) == 11  # 10 freezes in 40 rows
