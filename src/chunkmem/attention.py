@@ -82,6 +82,14 @@ def scaled_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
     return rng.uniform(-a, a, size=(fan_in, fan_out)).astype(dtype)
 
 
+def _check_heads(d: int, n_heads: int) -> None:
+    """Raises unless n_heads >= 1 divides d_model d."""
+    if n_heads < 1:
+        raise ContractError(f"n_heads must be >= 1, got {n_heads}")
+    if d % n_heads:
+        raise ShapeError(f"d_model {d} not divisible by n_heads {n_heads}")
+
+
 def _split_heads(tape: GradTape, x: Tensor, n_heads: int) -> Tensor:
     """(..., q, d) -> (..., h, q, d/h)"""
     *lead, q, d = x.shape
@@ -201,8 +209,7 @@ def multi_head_attention(
     The counter gets one count per (query, key) pair.
     """
     d = queries.shape[-1]
-    if d % n_heads != 0:
-        raise ShapeError(f"d_model {d} not divisible by n_heads {n_heads}")
+    _check_heads(d, n_heads)
     if keys_values.shape[-2] == 0:
         raise ContractError("attention over an empty key/value sequence")
 
@@ -321,8 +328,7 @@ def local_attention(
         raise ContractError(f"local_attention needs a query row: {s_total} "
                             f"rows, {n_carry} of them carried")
     d = seq.shape[-1]
-    if d % n_heads != 0:
-        raise ShapeError(f"d_model {d} not divisible by n_heads {n_heads}")
+    _check_heads(d, n_heads)
     reach = window + xl_extra
     n_blocks, k0, left, mask, placement = _local_bands(t_len, n_carry,
                                                        window, reach)
@@ -409,12 +415,13 @@ def chunk_relevance(
 
     queries (..., q, d); summaries (..., N, d) is memory's array, so no
     gradient reaches it. visible = (lo, hi), two length-q integer arrays
-    whose windows all have one width w, lets query row t see only chunks
-    [lo[t], hi[t]); None lets every row see all N. Every row is scored in
-    one matmul against the union of the windows, each run of rows with
-    equal bounds has its own window cut out of those scores, and one
-    softmax follows. The result is (..., q, w): column j of row t is chunk
-    lo[t] + j, and each row sums to 1. The counter counts w pairs a row.
+    over a stretch (a span of rows with one window width w), lets row t
+    see only chunks [lo[t], hi[t]); None lets every row see all N. One
+    matmul scores every row against the union of the windows; each run of
+    rows with equal bounds has its window cut out when the union is wider
+    than w, and one softmax follows. The result is (..., q, w): column j
+    of row t is chunk lo[t] + j, and each row sums to 1. The counter
+    counts w pairs a row.
     """
     q, n = queries.shape[-2], summaries.shape[-2]
     lo, hi = _visible_bounds(visible, q, n)
@@ -593,14 +600,12 @@ def hcam_block(
     0..C-1 are added to each chunk's rows on the key and value side.
 
     visible = (lo, hi), two length-q integer arrays, lets query row t see
-    only chunks [lo[t], hi[t]); None lets every row see all N. Consecutive
-    runs of rows with equal bounds whose windows have one width form a
-    stretch (a run that sees no chunk stands alone), and each stretch is
-    scored and selects in one pass: one chunk_relevance over the union of
-    its windows, cut back to each row's window before the softmax, one
-    top_k_select and one gather of the picks' relevance; a stretch of one
-    run is scored against its window alone, with no cut. Then the detail
-    read runs in input space, one block of query rows at a time, each
+    only chunks [lo[t], hi[t]); None lets every row see all N. A stretch
+    is a span of rows with one window width. Each stretch whose rows see
+    chunks is scored and selects in one pass: one chunk_relevance on the
+    stretch's rows and bounds, one top_k_select and one gather of the
+    picks' relevance; rows that see no chunk weigh every slot 0. Then the
+    detail read runs in input space, one block of query rows at a time, each
     block's gathered rows at most RECALL_BLOCK_BYTES: it gathers each
     row's selected chunk rows as constants, scores them against the query
     folded through wq_h wk_h^T, softmaxes per chunk, weights by relevance
@@ -618,9 +623,10 @@ def hcam_block(
     otherwise the last ones built are reused while every weight's bits and
     x's dtype, n_heads, the slot count and the position rows match.
     """
+    if top_k < 1:
+        raise ContractError(f"top_k must be >= 1, got {top_k}")
     *lead, q, d = x.shape
-    if d % n_heads != 0:
-        raise ShapeError(f"d_model {d} not divisible by n_heads {n_heads}")
+    _check_heads(d, n_heads)
     n = summaries.shape[-2] if summaries.ndim > 1 else -1
     c = chunks.shape[-2] if chunks.ndim > 1 else -1
     if summaries.shape != (*lead, n, d) or chunks.shape != (*lead, n, c, d):
@@ -630,52 +636,39 @@ def hcam_block(
     if pos_table is not None and pos_table.shape[0] < c:
         raise ShapeError(f"position table has {pos_table.shape[0]} rows, "
                          f"chunks have {c}")
-    bounds = list(zip(*_visible_bounds(visible, q, n)))
-
-    # runs of rows with equal bounds: (first row, end row, lo, hi)
-    starts = [t for t in range(q) if t == 0 or bounds[t] != bounds[t - 1]]
-    runs = [(ts, te, *bounds[ts]) for ts, te in zip(starts, starts[1:] + [q])]
-    live = [(ts, te) for ts, te, a, b in runs if a < b]
+    lo, hi = _visible_bounds(visible, q, n)
+    width = [b - a for a, b in zip(lo, hi)]
+    live = [t for t in range(q) if width[t]]
     if not live:
         return x
-    # rows before the first and after the last run that sees a chunk pass
-    # through unchanged; the runs in between are renumbered from r0
-    r0, r1 = live[0][0], live[-1][1]
-    runs = [(ts - r0, te - r0, a, b) for ts, te, a, b in runs if r0 <= ts < r1]
+    # rows before the first and after the last row that sees a chunk pass
+    # through unchanged
+    r0, r1 = live[0], live[-1] + 1
+    lo, hi, width = lo[r0:r1], hi[r0:r1], width[r0:r1]
     nq, q = q, r1 - r0
     body = x if q == nq else tape.slice_ax(x, -2, r0, r1)
-    kk = max(1, min(top_k, max(b - a for *_t, a, b in runs)))
+    kk = min(top_k, max(width))
 
-    # phase 1: relevance and top-k, one pass per stretch of consecutive
-    # runs whose windows have one width; ids are global chunk ids
-    stretches = []  # [first row, end row, union of the windows, width]
-    for ts, te, a, b in runs:
-        last = stretches[-1] if stretches else None
-        if last and a < b and last[4] == b - a:
-            last[1:4] = te, min(last[2], a), max(last[3], b)
-        else:
-            stretches.append([ts, te, a, b, b - a])
+    # phase 1: relevance and top-k, one pass per stretch of rows with one
+    # window width; ids are global chunk ids
+    starts = [t for t in range(q) if t == 0 or width[t] != width[t - 1]]
     normed = tape.layer_norm(body, params.ln_gain, params.ln_bias)
     ids = np.zeros((*lead, q, kk), dtype=np.int64)  # empty slots: chunk 0
     weights = []
-    for ts, te, a, b, width in stretches:
-        pad = np.zeros((*lead, te - ts, kk), dtype=x.dtype)
-        if not width:
-            weights.append(Tensor(pad))
+    for ts, te in zip(starts, starts[1:] + [q]):
+        if not width[ts]:
+            weights.append(Tensor(np.zeros((*lead, te - ts, kk), x.dtype)))
             continue
         seg = normed if te - ts == q else tape.slice_ax(normed, -2, ts, te)
-        windows = None  # one run: its window is the union
-        if b - a > width:  # each row's window, within the union
-            windows = tuple(np.array(bounds[r0 + ts:r0 + te]).T - a)
-        rel = chunk_relevance(tape, seg, summaries[..., a:b, :], params.w_rel,
-                              counter, visible=windows)
+        rel = chunk_relevance(tape, seg, summaries, params.w_rel, counter,
+                              visible=(lo[ts:te], hi[ts:te]))
         sel = top_k_select(rel.data, top_k)
         k = sel.shape[-1]
-        ids[..., ts:te, :k] = sel + (a if windows is None
-                                     else a + windows[0][:, None])
+        ids[..., ts:te, :k] = sel + np.array(lo[ts:te])[:, None]
         w = tape.gather_last(rel, sel)  # relevance of the selected chunks
         if k < kk:  # and weight 0 for the empty slots
-            w = tape.concat([w, Tensor(pad[..., k:])], axis=-1)
+            w = tape.concat([w, Tensor(np.zeros((*lead, te - ts, kk - k),
+                                                x.dtype))], axis=-1)
         weights.append(w)
         if counter is not None:
             counter.add(math.prod(lead) * (te - ts) * k * c)
@@ -690,7 +683,7 @@ def hcam_block(
     wqk, wvo, pvo = _recall_folds(tape, params.mha, x.dtype, h, kk, pos)
     qt = tape.matmul(normed, wqk)
     qt = tape.reshape(qt, (*lead, q, h, d))  # key-folded query per head
-    row_bytes = math.prod(lead) * kk * c * d * x.dtype.itemsize
+    row_bytes = max(1, math.prod(lead)) * kk * c * d * x.dtype.itemsize
     step = max(1, RECALL_BLOCK_BYTES // row_bytes)  # query rows a block
     parts = []
     for s in range(0, q, step):

@@ -90,7 +90,8 @@ class ChunkMemory:
         capacity. The returned arrays share memory with the store, and
         later writes never change them; read() gives copies.
         """
-        rows = rows.data if isinstance(rows, Tensor) else np.asarray(rows)
+        # Tensor's dtype rule: integer rows are stored as float64
+        rows = (rows if isinstance(rows, Tensor) else Tensor(rows)).data
         # every array stored below is a fresh copy: memory never joins a tape
         if rows.ndim < 2:
             raise ShapeError(f"write needs (..., T, d) rows, got {rows.shape}")

@@ -113,6 +113,8 @@ def ballet_batch(n_dances: int, delay: int, seed: int, start: int,
     Episode i always comes from the stream (seed, i), so batching and
     order of generation never change an episode's content.
     """
+    if count < 1:
+        raise ContractError(f"count must be >= 1, got {count}")
     eps = [
         generate_ballet_episode(n_dances, delay, rng=episode_rng(seed, i))
         for i in range(start, start + count)
@@ -225,6 +227,8 @@ def generate_pai_episode(chain_length: int, n_pairs: int = 8, seed: int = 0,
 
 def pai_batch(chain_length: int, n_pairs: int, item_dim: int, seed: int,
               start: int, count: int):
+    if count < 1:
+        raise ContractError(f"count must be >= 1, got {count}")
     eps = [
         generate_pai_episode(chain_length, n_pairs, item_dim=item_dim,
                              rng=episode_rng(seed, i))

@@ -376,10 +376,10 @@ class GradTape:
         w = ad.shape[-1]
         if idx.size and (idx.min() < 0 or idx.max() >= w):
             raise ShapeError(f"gather_last: index out of range for {w} columns")
-        nrows = ad.size // w
+        nrows = math.prod(ad.shape[:-1])
         # flat index per (row, selected column): forward gathers with it and
         # bincount scatter-adds with it
-        lin = (idx.reshape(nrows, -1)
+        lin = (idx.reshape(nrows, idx.shape[-1])
                + np.arange(0, nrows * w, w, dtype=np.int64)[:, None]).ravel()
 
         def bwd(g):
@@ -457,7 +457,7 @@ class GradTape:
         tail = a.shape[nl + 1:]
         nb = math.prod(lead)
         af = a.data.reshape((nb, n) + tail)
-        idf = idx.reshape(nb, -1)
+        idf = idx.reshape(nb, idx.shape[-1])
         ni = idf.shape[1]
         rows = np.arange(nb)
         ash = a.shape

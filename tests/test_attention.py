@@ -771,6 +771,33 @@ def test_hcam_rejects_malformed_memory_and_heads():
                    top_k=1)
 
 
+@pytest.mark.parametrize("n_heads, err", [(0, ContractError),
+                                           (-2, ContractError),
+                                           (3, ShapeError)])
+def test_every_attention_checks_its_head_count(n_heads, err):
+    layer = layer_params(30)
+    x = Tensor(make_rng(30).normal(size=(2, 8)))
+    chunks = make_rng(31).normal(size=(4, 2, 8))
+    calls = (
+        lambda: multi_head_attention(GradTape(), x, x, layer.attn, n_heads),
+        lambda: local_attention(GradTape(), x, 2, layer.attn, n_heads),
+        lambda: hcam_block(GradTape(), x, chunks.mean(1), chunks, layer.hcam,
+                           n_heads, top_k=1))
+    for call in calls:
+        with pytest.raises(err, match="n_heads"):
+            call()
+
+
+def test_hcam_rejects_top_k_below_one_whatever_the_rows_see():
+    p, rng = small_block(32)
+    x = Tensor(rng.normal(size=(2, 8)))
+    chunks = rng.normal(size=(4, 2, 8))
+    for lo, hi in (([0, 0], [0, 0]), ([0, 0], [0, 4])):
+        with pytest.raises(ContractError, match="top_k"):
+            hcam_block(GradTape(), x, chunks.mean(1), chunks, p, n_heads=2,
+                       top_k=0, visible=(np.array(lo), np.array(hi)))
+
+
 def test_hcam_rejects_float_visible_bounds():
     p, rng = small_block(27)
     x = Tensor(rng.normal(size=(2, 8)))

@@ -139,6 +139,25 @@ def test_written_tensor_is_detached_copy():
     assert np.array_equal(c[0, 0], [1.0, 2.0])
 
 
+def test_integer_rows_are_stored_as_float64():
+    steps = ChunkMemory(chunk_size=2)
+    for row in ([1, 2], [2, 3]):
+        steps.write_step(np.array(row))
+    whole = ChunkMemory(chunk_size=2)
+    summaries, chunks, _lo, _hi = whole.write([[1, 2], [2, 3]])
+    for m in (steps, whole):
+        s, c = m.read()
+        assert s.dtype == c.dtype == np.float64
+        assert np.array_equal(s, [[1.5, 2.5]])
+    assert summaries.dtype == chunks.dtype == np.float64
+    # float rows keep their dtype and bits
+    rows = make_rng(5).normal(size=(2, 3)).astype(np.float32)
+    m = ChunkMemory(chunk_size=2)
+    m.write(rows)
+    assert m.read()[1].dtype == np.float32
+    assert m.read()[1].tobytes() == rows.tobytes()
+
+
 def test_empty_read_shapes():
     m = ChunkMemory(chunk_size=4)
     s, c = m.read()

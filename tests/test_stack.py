@@ -753,6 +753,22 @@ def test_batch_shape_disagreeing_with_state_raises(kind):
     assert np.array_equal(y.data, run_sequence(model, rows))
 
 
+@pytest.mark.parametrize("recording", [True, False])
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_empty_batch_runs_through_every_kind(kind, recording):
+    # chunks of 2 rows freeze within the 5 steps, so hcam recalls
+    cfg = ModelConfig(kind=kind, d_model=8, n_heads=2, n_layers=2,
+                      chunk_size=2, local_window=3, xl_extra_length=2)
+    model = Model(cfg, seed=0)
+    tape = GradTape(recording=recording)
+    model.watch_all(tape)
+    y, _ = forward_sequence(tape, model, Tensor(np.zeros((0, 5, 8))))
+    assert y.shape == (0, 5, 8)
+    if recording:
+        grads = tape.backward(tape.reduce_sum(y))
+        assert all(not np.any(grads[p].data) for p in model.params.values())
+
+
 # ------------------------------------------------------- XL baseline layers
 
 def make_trxl_model(window, xl, topk=False, d=8, heads=2, layers=1, seed=5):

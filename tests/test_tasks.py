@@ -296,6 +296,14 @@ def test_pai_validation():
         generate_pai_episode(1, 2)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_batches_need_an_episode(count):
+    with pytest.raises(ContractError, match="count"):
+        ballet_batch(2, 4, seed=0, start=0, count=count)
+    with pytest.raises(ContractError, match="count"):
+        pai_batch(1, 4, 8, seed=0, start=0, count=count)
+
+
 def pai_model(**kw):
     args = dict(kind="hcam", d_model=16, n_heads=2, n_layers=2,
                 chunk_size=2, top_k=2, local_window=4, item_dim=8,

@@ -18,6 +18,8 @@ the names. A change that keeps every line is bitwise neutral on:
   norm's gain and bias, w_rel and the four MHA weights, for one query
   seeing every chunk and for per-row windows with empty top-k slots and
   pass-through rows, with and without position rows, in both dtypes;
+  recall/gaps/... the same for windows that put two rows seeing no chunk,
+  with different bounds, between rows of one width;
   recall/blocks/... the same for 300 rows of a batch of 16 at d_model 64,
   enough rows to read them in several blocks;
 - loss/...: one training minibatch's loss and every parameter gradient,
@@ -76,11 +78,14 @@ GEOMETRIES = {
 # no chunk (first, middle and last), one chunk (an empty top-k slot) and
 # several, in runs of equal bounds.
 WINDOWS = ([0, 0, 0, 1, 1, 3, 3, 2, 0], [0, 1, 1, 4, 4, 3, 3, 5, 0])
+# two rows that see no chunk, with different bounds, side by side
+GAPS = ([0, 0, 3, 2, 1], [2, 2, 3, 2, 3])
 RECALLS = {
     "one-query": (None, True),
     "one-query-nopos": (None, False),
     "windows": (WINDOWS, True),
     "windows-nopos": (WINDOWS, False),
+    "gaps": (GAPS, True),
 }
 
 # name: RunConfig settings
